@@ -262,6 +262,20 @@ pub struct CrosscheckConfig {
     pub incremental: bool,
 }
 
+impl CrosscheckConfig {
+    /// The solver settings that decide verdicts (budget and retry
+    /// ladder), as hashed into the `check` and `session` journal
+    /// fingerprints. Worker count and the incremental switch are left
+    /// out: neither changes a verdict. The bytes are part of every
+    /// existing journal's fingerprint, so they must never change.
+    pub fn settings_key(&self) -> String {
+        format!(
+            "budget={:?};rungs={};factor={};cap={:?}",
+            self.solver_budget, self.retry_rungs, self.retry_factor, self.retry_cap
+        )
+    }
+}
+
 impl Default for CrosscheckConfig {
     fn default() -> Self {
         CrosscheckConfig {
@@ -293,6 +307,15 @@ pub trait VerdictSink: Sync {
     /// worker lost mid-query degrades its slot to Unknown without a call.
     /// Default: no-op.
     fn on_decided(&self, _i: usize, _j: usize, _verdict: &SatResult, _budget: &SolverBudget) {}
+}
+
+/// Any `Fn(i, j, verdict, budget)` closure is a sink: it observes each
+/// canonical verdict (the journal hook) and ignores the streaming
+/// [`VerdictSink::on_decided`] hook.
+impl<F: Fn(usize, usize, &SatResult, &SolverBudget) + Sync> VerdictSink for F {
+    fn on_verdict(&self, i: usize, j: usize, verdict: &SatResult, budget: &SolverBudget) {
+        self(i, j, verdict, budget)
+    }
 }
 
 /// Verdicts recovered from a crosscheck journal, keyed by group-index
@@ -367,34 +390,7 @@ pub fn crosscheck(
     b: &GroupedResults,
     cfg: &CrosscheckConfig,
 ) -> CrosscheckResult {
-    crosscheck_durable(a, b, cfg, None, None)
-}
-
-/// [`crosscheck`] with journal support: `seeds` short-circuits pairs whose
-/// verdicts were recovered from a crosscheck journal, `sink` observes each
-/// newly produced verdict (in pair order, once per solving pass) so the
-/// journal can persist it. After the base pass, `cfg.retry_rungs` extra
-/// passes re-solve the still-Unknown pairs under geometrically escalated
-/// budgets — all passes share one verdict cache, whose budget-aware
-/// semantics guarantee a small-budget Unknown never masks a bigger-budget
-/// re-solve.
-pub fn crosscheck_durable(
-    a: &GroupedResults,
-    b: &GroupedResults,
-    cfg: &CrosscheckConfig,
-    seeds: Option<&CheckSeeds>,
-    sink: Option<&dyn VerdictSink>,
-) -> CrosscheckResult {
-    crosscheck_hooked(
-        a,
-        b,
-        cfg,
-        CheckHooks {
-            seeds,
-            sink,
-            ..Default::default()
-        },
-    )
+    crosscheck_hooked(a, b, cfg, CheckHooks::default())
 }
 
 /// Streaming extensions layered on the canonical crosscheck pass
@@ -404,8 +400,8 @@ pub fn crosscheck_durable(
 /// identical with or without hooks.
 #[derive(Default)]
 pub struct CheckHooks<'a> {
-    /// Verdicts recovered from a crosscheck journal (as in
-    /// [`crosscheck_durable`]).
+    /// Verdicts recovered from a crosscheck journal: they short-circuit
+    /// re-solving their pairs (see [`CheckSeeds`]).
     pub seeds: Option<&'a CheckSeeds>,
     /// Per-pass canonical observer (the journal hook) plus the immediate
     /// [`VerdictSink::on_decided`] streaming hook.
@@ -421,7 +417,15 @@ pub struct CheckHooks<'a> {
     pub solve_first: Vec<(usize, usize)>,
 }
 
-/// [`crosscheck_durable`] with streaming hooks — see [`CheckHooks`].
+/// [`crosscheck`] with journal and streaming hooks — see [`CheckHooks`].
+/// `hooks.seeds` short-circuits pairs whose verdicts were recovered from
+/// a journal; `hooks.sink` observes each newly produced verdict (in pair
+/// order, once per solving pass) so the journal can persist it. After
+/// the base pass, `cfg.retry_rungs` extra passes re-solve the
+/// still-Unknown pairs under geometrically escalated budgets — all
+/// passes share one verdict cache, whose budget-aware semantics
+/// guarantee a small-budget Unknown never masks a bigger-budget
+/// re-solve.
 pub fn crosscheck_hooked(
     a: &GroupedResults,
     b: &GroupedResults,
@@ -1044,7 +1048,15 @@ mod tests {
             ..Default::default()
         };
         let sink = CollectVerdicts::default();
-        let first = crosscheck_durable(&a, &b, &cfg, None, Some(&sink));
+        let first = crosscheck_hooked(
+            &a,
+            &b,
+            &cfg,
+            CheckHooks {
+                sink: Some(&sink),
+                ..Default::default()
+            },
+        );
         let journaled = sink.0.into_inner().unwrap_or_else(|e| e.into_inner());
         assert!(
             journaled.len() >= 2,
@@ -1056,7 +1068,16 @@ mod tests {
             seeds.insert(*i, *j, v.clone(), *bud);
         }
         let resume_sink = CollectVerdicts::default();
-        let resumed = crosscheck_durable(&a, &b, &cfg, Some(&seeds), Some(&resume_sink));
+        let resumed = crosscheck_hooked(
+            &a,
+            &b,
+            &cfg,
+            CheckHooks {
+                seeds: Some(&seeds),
+                sink: Some(&resume_sink),
+                ..Default::default()
+            },
+        );
         assert!(
             resume_sink
                 .0
@@ -1088,7 +1109,15 @@ mod tests {
             retry_rungs: 10,
             ..Default::default()
         };
-        let r = crosscheck_durable(&a, &b, &cfg, Some(&seeds), None);
+        let r = crosscheck_hooked(
+            &a,
+            &b,
+            &cfg,
+            CheckHooks {
+                seeds: Some(&seeds),
+                ..Default::default()
+            },
+        );
         assert!(r.fully_verified());
         assert_eq!(r.resolved_on_retry, 1);
     }
@@ -1130,7 +1159,7 @@ mod tests {
             retry_rungs: 10,
             ..Default::default()
         };
-        let plain = crosscheck_durable(&a, &b, &cfg, None, None);
+        let plain = crosscheck(&a, &b, &cfg);
         // Solve-first hints, a shared external cache, and the immediate
         // on_decided hook — none of them may perturb the canonical result.
         let sink = CountDecided::default();

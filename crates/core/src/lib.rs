@@ -51,8 +51,8 @@ mod soft;
 pub mod stream;
 
 pub use crosscheck::{
-    crosscheck, crosscheck_durable, crosscheck_hooked, CheckHooks, CheckSeeds, CrosscheckConfig,
-    CrosscheckResult, Inconsistency, UnverifiedPair, VerdictSink,
+    crosscheck, crosscheck_hooked, CheckHooks, CheckSeeds, CrosscheckConfig, CrosscheckResult,
+    Inconsistency, UnverifiedPair, VerdictSink,
 };
 pub use group::{
     group_paths, group_paths_with, GroupBuilder, GroupError, GroupedResults, OutputGroup, TreeShape,

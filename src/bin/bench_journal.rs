@@ -8,7 +8,11 @@
 //!
 //! Usage: bench_journal [--test <id>] [--reps N] [--out FILE]
 
-use soft::harness::{atomic_write, run_test, run_test_durable, suite, DurableRun, TestCase};
+use soft::agents::OF10;
+use soft::harness::{
+    atomic_write, phase1_fingerprint, run_test, run_unit_durable, SessionJournal, TestCase,
+};
+use soft::protocol::Protocol;
 use soft::sym::ExplorerConfig;
 use soft::AgentKind;
 use std::path::Path;
@@ -48,11 +52,7 @@ fn main() -> ExitCode {
     };
     let out = flag_value(&args, "--out").unwrap_or_else(|| "BENCH_journal.json".to_string());
 
-    let mut tests = suite::table1_suite();
-    tests.extend(suite::ablation::table5_suite());
-    tests.push(suite::queue_config());
-    tests.push(suite::timeout_flow_mod());
-    let Some(test): Option<TestCase> = tests.into_iter().find(|t| t.id == test_id) else {
+    let Some(test): Option<TestCase> = OF10.find_test(&test_id) else {
         eprintln!("bench_journal: unknown --test '{test_id}' (see `soft tests`)");
         return ExitCode::FAILURE;
     };
@@ -71,20 +71,16 @@ fn main() -> ExitCode {
     eprintln!("bench_journal: '{test_id}', {baseline_paths} paths, {reps} reps per mode");
 
     // Interleave the three modes within each round so clock-speed drift
-    // during the benchmark biases none of them.
+    // during the benchmark biases none of them. The journaled modes run
+    // exactly as `soft phase1` does: one one-unit journal per run.
+    let fp = phase1_fingerprint(agent, &test, &cfg);
     let durable = |fsync: bool| {
         let _ = std::fs::remove_file(&journal);
-        run_test_durable(
-            agent,
-            &test,
-            &cfg,
-            &DurableRun {
-                journal: &journal,
-                resume: false,
-                fsync,
-            },
-        )
-        .expect("durable run");
+        let (j, recovery) =
+            SessionJournal::open(&journal, false, fsync, &fp, 1, 0).expect("open journal");
+        run_unit_durable(agent, &test, &cfg, &recovery.units[0], &j.unit_sink(0))
+            .expect("durable run");
+        assert!(j.take_error().is_none(), "journal write failed");
     };
     let (mut plain, mut nofsync, mut fsync) = (Vec::new(), Vec::new(), Vec::new());
     for _ in 0..reps {

@@ -41,8 +41,10 @@
 //! path-explodes by design (~76k paths / 700 MB artifact on the
 //! reference side alone).
 
+use soft::agents::OF10;
 use soft::core::{crosscheck, CrosscheckConfig};
 use soft::harness::{atomic_write, run_test, suite, TestCase, TestRunFile};
+use soft::protocol::Protocol;
 use soft::smt::SolverBudget;
 use soft::sym::ExplorerConfig;
 use soft::witness::{distill, DistillConfig, DEFAULT_SEED};
@@ -69,27 +71,20 @@ fn timed<F: FnOnce()>(f: F) -> f64 {
     t0.elapsed().as_secs_f64() * 1e3
 }
 
-/// The full catalog in the CLI's `--test all` order.
-fn all_tests() -> Vec<TestCase> {
-    let mut tests = suite::table1_suite();
-    tests.push(suite::queue_config());
-    tests.push(suite::timeout_flow_mod());
-    tests.extend(suite::ablation::table5_suite());
-    tests
-}
-
 /// The default bench suite: interoperability tests with tractable
-/// crosschecks (see the module docs for what `all` adds and why it is
-/// not the default).
+/// crosschecks: the catalog minus the two heavy tests and the Table 5
+/// concretization ablations (see the module docs for what `all` adds and
+/// why it is not the default).
 fn interop_tests() -> Vec<TestCase> {
     const HEAVY: [&str; 2] = ["flow_mod", "eth_flow_mod"];
-    let mut tests: Vec<TestCase> = suite::table1_suite()
-        .into_iter()
-        .filter(|t| !HEAVY.contains(&t.id))
+    let ablations: Vec<&str> = suite::ablation::table5_suite()
+        .iter()
+        .map(|t| t.id)
         .collect();
-    tests.push(suite::queue_config());
-    tests.push(suite::timeout_flow_mod());
-    tests
+    OF10.tests()
+        .into_iter()
+        .filter(|t| !HEAVY.contains(&t.id) && !ablations.contains(&t.id))
+        .collect()
 }
 
 /// Zero the one artifact field allowed to differ between the two flows.
@@ -276,11 +271,11 @@ fn main() -> ExitCode {
     let out = flag_value(&args, "--out").unwrap_or_else(|| "BENCH_pipeline.json".to_string());
 
     let tests: Vec<TestCase> = if test_arg == "all" {
-        all_tests()
+        OF10.tests()
     } else if test_arg == "interop" {
         interop_tests()
     } else {
-        let catalog = all_tests();
+        let catalog = OF10.tests();
         let mut picked = Vec::new();
         for id in test_arg.split(',') {
             match catalog.iter().find(|t| t.id == id) {

@@ -21,8 +21,10 @@
 //! CI configuration, proving the bench stays runnable without paying for
 //! the full matrix.
 
+use soft::agents::OF10;
 use soft::core::{crosscheck, CrosscheckConfig, CrosscheckResult, GroupedResults};
 use soft::harness::{atomic_write, run_test, suite, TestCase, TestRunFile};
+use soft::protocol::Protocol;
 use soft::smt::{metrics::dag_shared_nodes, SolverBudget, SolverStats};
 use soft::sym::ExplorerConfig;
 use soft::witness::DEFAULT_SEED;
@@ -43,26 +45,19 @@ fn median_ms(samples: &mut [f64]) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// The full catalog in the CLI's `--test all` order.
-fn all_tests() -> Vec<TestCase> {
-    let mut tests = suite::table1_suite();
-    tests.push(suite::queue_config());
-    tests.push(suite::timeout_flow_mod());
-    tests.extend(suite::ablation::table5_suite());
-    tests
-}
-
 /// Interoperability tests with tractable crosschecks (the default; same
-/// cut as `bench_pipeline`).
+/// cut as `bench_pipeline`): the catalog minus the two heavy tests and the
+/// Table 5 concretization ablations.
 fn interop_tests() -> Vec<TestCase> {
     const HEAVY: [&str; 2] = ["flow_mod", "eth_flow_mod"];
-    let mut tests: Vec<TestCase> = suite::table1_suite()
-        .into_iter()
-        .filter(|t| !HEAVY.contains(&t.id))
+    let ablations: Vec<&str> = suite::ablation::table5_suite()
+        .iter()
+        .map(|t| t.id)
         .collect();
-    tests.push(suite::queue_config());
-    tests.push(suite::timeout_flow_mod());
-    tests
+    OF10.tests()
+        .into_iter()
+        .filter(|t| !HEAVY.contains(&t.id) && !ablations.contains(&t.id))
+        .collect()
 }
 
 /// A stable digest of everything verdict-like in a crosscheck result.
@@ -225,11 +220,11 @@ fn main() -> ExitCode {
     let out = flag_value(&args, "--out").unwrap_or_else(|| "BENCH_solver.json".to_string());
 
     let tests: Vec<TestCase> = if test_arg == "all" {
-        all_tests()
+        OF10.tests()
     } else if test_arg == "interop" {
         interop_tests()
     } else {
-        let catalog = all_tests();
+        let catalog = OF10.tests();
         let mut picked = Vec::new();
         for id in test_arg.split(',') {
             match catalog.iter().find(|t| t.id == id) {

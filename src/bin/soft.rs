@@ -16,28 +16,52 @@
 //! soft report ref.json ovs.json --replay
 //! ```
 
+use soft::agents::OF10;
 use soft::conform::{
     loopback_self_test_with, run_conform_with, ConformReport, Connector, ExitClass,
     FaultyConnector, LoopbackDut, ReplayConfig, TcpConnector, Verdict,
 };
 use soft::core::report::{classify, dedupe, describe, describe_unverified, reproduce};
 use soft::core::{
-    crosscheck_durable, replay, CheckSeeds, CrosscheckConfig, GroupedResults, Soft, VerdictSink,
+    crosscheck, crosscheck_hooked, replay, CheckHooks, CheckSeeds, CrosscheckConfig,
+    GroupedResults, Soft,
 };
 use soft::fleet::job::{agent_by_name, protocol_by_id};
 use soft::harness::json::Json;
 use soft::harness::{
-    atomic_write, check_fingerprint, run_matrix, run_matrix_durable, run_test_durable, suite,
-    CheckJournal, DurableRun, TestCase, TestRunFile,
+    atomic_write, check_fingerprint, phase1_fingerprint, run_matrix, run_test, run_unit_durable,
+    JournalError, SessionJournal, TestCase, TestRun, TestRunFile,
 };
-use soft::protocol::Protocol;
+use soft::protocol::{AgentRef, Protocol};
 use soft::smt::{SatResult, SolverBudget};
 use soft::witness::{
     distill, reproduce_corpus, Corpus, CorpusEntry, DistillConfig, Status, DEFAULT_SEED,
 };
 use soft::{run_session, AgentKind, SessionConfig};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+
+/// `println!` for command output. A closed stdout (`soft tests | head -1`)
+/// is a normal end: the process exits 0 quietly instead of panicking.
+macro_rules! outln {
+    () => {
+        emit(format_args!(""))
+    };
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))
+    };
+}
+
+fn emit(line: std::fmt::Arguments<'_>) {
+    if let Err(e) = writeln!(std::io::stdout(), "{line}") {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("soft: cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
 
 /// Exit code when inconsistencies were found (like a linter).
 const EXIT_INCONSISTENT: u8 = 2;
@@ -52,18 +76,6 @@ const EXIT_TRUNCATED: u8 = 4;
 /// Exit code when a conformance DUT never accepted a connection for some
 /// witness: no behavioral claim could be made at all.
 const EXIT_UNREACHABLE: u8 = 5;
-
-fn all_tests() -> Vec<TestCase> {
-    let mut tests = suite::table1_suite();
-    tests.push(suite::queue_config());
-    tests.push(suite::timeout_flow_mod());
-    tests.extend(suite::ablation::table5_suite());
-    tests
-}
-
-fn find_test(id: &str) -> Option<TestCase> {
-    all_tests().into_iter().find(|t| t.id == id)
-}
 
 fn parse_agent(s: &str) -> Option<AgentKind> {
     match s {
@@ -103,7 +115,7 @@ protocol with two intentionally divergent agents (strict, lenient) that
 exercises the same explore/group/crosscheck/distill kernel end to end.
 Corpora record their protocol, so repro and conform need no flag.
 
---seed sets the base seed for every pseudo-random choice (exploration\nstrategies and the distill fuzzer); default 0x50F7. Same seed, same bytes.\n\ndistill turns crosscheck witnesses into a standalone corpus of minimal,\nclustered, wire-format reproductions (--fuzz N mutants per witness,\ndefault 4); repro replays a corpus and exits {EXIT_INCONSISTENT} if any confirmed\nwitness no longer reproduces its recorded divergence.\n\nDurability: run, phase1, check and distill write a write-ahead journal\nnext to their output (<out>.wal / <a>.check.wal unless --journal\noverrides) and publish artifacts atomically; --resume continues an\ninterrupted run from the journal, producing byte-identical artifacts for\nany --jobs value. --no-fsync trades crash durability for speed.\n\nexit codes: 0 clean; 1 usage or I/O error; {EXIT_INCONSISTENT} inconsistencies found;\n{EXIT_UNVERIFIED} pairs left unverified by the solver budget; {EXIT_TRUNCATED} exploration truncated;\n{EXIT_UNREACHABLE} conformance DUT unreachable.\n\nResults are identical for every --jobs value; only wall-clock changes."
+--seed sets the base seed for every pseudo-random choice (exploration\nstrategies and the distill fuzzer); default 0x50F7. Same seed, same bytes.\n\ndistill turns crosscheck witnesses into a standalone corpus of minimal,\nclustered, wire-format reproductions (--fuzz N mutants per witness,\ndefault 4); repro replays a corpus and exits {EXIT_INCONSISTENT} if any confirmed\nwitness no longer reproduces its recorded divergence.\n\nDurability: run, phase1, check and distill write a write-ahead journal\nnext to their output (<out>.wal / <a>.check.wal unless --journal\noverrides; matrix-mode phase1 journals each combination to\n<out><agent>_<test>.json.wal) and publish artifacts atomically; --resume continues an\ninterrupted run from the journal, producing byte-identical artifacts for\nany --jobs value. --no-fsync trades crash durability for speed.\n\nexit codes: 0 clean; 1 usage or I/O error; {EXIT_INCONSISTENT} inconsistencies found;\n{EXIT_UNVERIFIED} pairs left unverified by the solver budget; {EXIT_TRUNCATED} exploration truncated;\n{EXIT_UNREACHABLE} conformance DUT unreachable.\n\nResults are identical for every --jobs value; only wall-clock changes."
     );
     ExitCode::FAILURE
 }
@@ -261,9 +273,9 @@ fn cmd_tests(args: &[String]) -> ExitCode {
         Ok(p) => p,
         Err(code) => return code,
     };
-    println!("{:<20} {:<4} description", "id", "#in");
+    outln!("{:<20} {:<4} description", "id", "#in");
     for t in proto.tests() {
-        println!("{:<20} {:<4} {}", t.id, t.inputs.len(), t.description);
+        outln!("{:<20} {:<4} {}", t.id, t.inputs.len(), t.description);
     }
     ExitCode::SUCCESS
 }
@@ -299,8 +311,8 @@ fn cmd_phase1(args: &[String]) -> ExitCode {
         }
     };
     let tests: Vec<TestCase> = match test_arg.as_deref() {
-        Some("all") => all_tests(),
-        Some(t) => match find_test(t) {
+        Some("all") => OF10.tests(),
+        Some(t) => match OF10.find_test(t) {
             Some(tc) => vec![tc],
             None => {
                 eprintln!("phase1: unknown --test '{t}' (see `soft tests`)");
@@ -312,95 +324,68 @@ fn cmd_phase1(args: &[String]) -> ExitCode {
             return usage();
         }
     };
-    if agents.len() == 1 && tests.len() == 1 {
-        // Single combination: `--jobs` parallelizes *within* the
-        // exploration; `--out` is the artifact path.
-        let (agent, test) = (agents[0], &tests[0]);
-        eprintln!("symbolically executing {} on '{}' ...", agent.id(), test.id);
-        let cfg = soft::sym::ExplorerConfig {
-            solver_budget: budget,
-            workers: jobs.max(1),
-            seed,
-            ..Default::default()
-        };
-        let run = if journal.enabled {
-            let jpath = PathBuf::from(journal.path.clone().unwrap_or_else(|| format!("{out}.wal")));
-            match run_test_durable(
-                agent,
-                test,
-                &cfg,
-                &DurableRun {
-                    journal: &jpath,
-                    resume: journal.resume,
-                    fsync: journal.fsync,
-                },
-            ) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("phase1: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else {
-            soft::harness::run_test(agent, test, &cfg)
-        };
-        let artifact = TestRunFile::from_run(&run);
+    // Single combination: `--jobs` parallelizes *within* the exploration
+    // and `--out` is the artifact path, journaled at `--journal` or
+    // `<out>.wal`. Matrix mode (`--agent all` and/or `--test all`):
+    // `--jobs` fans out across the agent x test combinations and `--out`
+    // is a file prefix; one artifact `<out><agent>_<test>.json` is written
+    // per combination, with its journal at `<out><agent>_<test>.json.wal`.
+    let single = agents.len() == 1 && tests.len() == 1;
+    if !single && journal.path.is_some() {
         eprintln!(
-            "  {} paths, instruction coverage {:.1}%, wall {} ms",
-            artifact.paths.len(),
-            artifact.instruction_pct,
-            artifact.wall_ms
+            "phase1: --journal FILE names one journal, but matrix mode journals each \
+             combination to <out><agent>_<test>.json.wal; drop --journal"
         );
-        if let Err(e) = atomic_write(
-            std::path::Path::new(&out),
-            artifact.to_json().as_bytes(),
-            journal.fsync,
-        ) {
-            eprintln!("phase1: cannot write {out}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("{out}");
-        if artifact.truncated {
-            eprintln!("phase1: exploration truncated — artifact covers part of the input space");
-            return ExitCode::from(EXIT_TRUNCATED);
-        }
-        return ExitCode::SUCCESS;
+        return usage();
     }
-    // Matrix mode (`--agent all` and/or `--test all`): `--jobs` fans out
-    // across the agent x test combinations and `--out` is a file prefix;
-    // one artifact `<out><agent>_<test>.json` is written per combination,
-    // with its journal at `<out><agent>_<test>.json.wal`.
-    eprintln!(
-        "symbolically executing {} agent(s) x {} test(s) with {jobs} job(s) ...",
-        agents.len(),
-        tests.len()
-    );
+    let (workers, fan_out) = if single {
+        eprintln!(
+            "symbolically executing {} on '{}' ...",
+            agents[0].id(),
+            tests[0].id
+        );
+        (jobs, 1)
+    } else {
+        eprintln!(
+            "symbolically executing {} agent(s) x {} test(s) with {jobs} job(s) ...",
+            agents.len(),
+            tests.len()
+        );
+        (1, jobs)
+    };
     let cfg = soft::sym::ExplorerConfig {
         solver_budget: budget,
+        workers,
         seed,
         ..Default::default()
     };
-    let runs = if journal.enabled {
-        let journal_for =
-            |agent: &str, test: &str| PathBuf::from(format!("{out}{agent}_{test}.json.wal"));
-        run_matrix_durable(
-            &agents,
-            &tests,
-            &cfg,
-            jobs,
-            &journal_for,
-            journal.resume,
-            journal.fsync,
-        )
-    } else {
-        run_matrix(&agents, &tests, &cfg, jobs)
-            .into_iter()
-            .map(Ok)
-            .collect()
+    let artifact_path = |agent: &str, test: &str| {
+        if single {
+            out.clone()
+        } else {
+            format!("{out}{agent}_{test}.json")
+        }
+    };
+    // Each combination journals through its own one-unit journal.
+    let explore = |agent: AgentRef, test: &TestCase| -> Result<TestRun, JournalError> {
+        if !journal.enabled {
+            return Ok(run_test(agent, test, &cfg));
+        }
+        let path = match &journal.path {
+            Some(p) => PathBuf::from(p),
+            None => PathBuf::from(format!("{}.wal", artifact_path(agent.id(), test.id))),
+        };
+        let fp = phase1_fingerprint(agent, test, &cfg);
+        let (j, recovery) = SessionJournal::open(&path, journal.resume, journal.fsync, &fp, 1, 0)?;
+        let run = run_unit_durable(agent, test, &cfg, &recovery.units[0], &j.unit_sink(0))?;
+        match j.take_error() {
+            Some(e) => Err(JournalError::Io(e)),
+            None => Ok(run),
+        }
     };
     let mut truncated: Vec<String> = Vec::new();
     let mut failed = 0usize;
-    for run in &runs {
+    for run in &run_matrix(&agents, &tests, fan_out, explore) {
         let run = match run {
             Ok(r) => r,
             Err(e) => {
@@ -410,9 +395,17 @@ fn cmd_phase1(args: &[String]) -> ExitCode {
             }
         };
         let artifact = TestRunFile::from_run(run);
-        let path = format!("{out}{}_{}.json", run.agent, run.test);
+        if single {
+            eprintln!(
+                "  {} paths, instruction coverage {:.1}%, wall {} ms",
+                artifact.paths.len(),
+                artifact.instruction_pct,
+                artifact.wall_ms
+            );
+        }
+        let path = artifact_path(&run.agent, &run.test);
         if let Err(e) = atomic_write(
-            std::path::Path::new(&path),
+            Path::new(&path),
             artifact.to_json().as_bytes(),
             journal.fsync,
         ) {
@@ -422,7 +415,7 @@ fn cmd_phase1(args: &[String]) -> ExitCode {
         if run.stats.truncated {
             truncated.push(format!("{}/{}", run.agent, run.test));
         }
-        println!("{path}");
+        outln!("{path}");
     }
     if failed > 0 {
         eprintln!("phase1: {failed} combination(s) failed to journal or resume");
@@ -525,7 +518,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
         }
     };
     for o in &report.outcomes {
-        println!(
+        outln!(
             "{}: {}+{} paths, {} inconsistencies, {} unverified, {} confirmed witness(es) in {} cluster(s) -> {}{}",
             o.test,
             o.paths_a,
@@ -570,15 +563,6 @@ struct CheckOpts {
     fsync: bool,
 }
 
-/// Adapter: the core's verdict hook writing into the harness journal.
-struct JournalVerdictSink<'a>(&'a CheckJournal);
-
-impl VerdictSink for JournalVerdictSink<'_> {
-    fn on_verdict(&self, i: usize, j: usize, verdict: &SatResult, budget: &SolverBudget) {
-        self.0.record(i, j, verdict, budget);
-    }
-}
-
 /// Everything a crosscheck produces, kept together so downstream
 /// commands (report, distill) can reuse the grouped conditions.
 struct CheckedPair {
@@ -616,23 +600,27 @@ fn crosscheck_artifacts(
         ..Default::default()
     };
     let result = match &opts.journal {
-        None => crosscheck_durable(&ga, &gb, &cfg, None, None),
+        None => crosscheck(&ga, &gb, &cfg),
         Some(jpath) => {
             // The journal is keyed to the exact artifact bytes and solver
             // settings: any change invalidates the recorded verdicts.
-            let settings = format!(
-                "budget={:?};rungs={};factor={};cap={:?}",
-                opts.budget, cfg.retry_rungs, cfg.retry_factor, cfg.retry_cap
-            );
-            let fp = check_fingerprint(&a_text, &b_text, &settings);
-            let (journal, recovered) = CheckJournal::open(jpath, opts.resume, opts.fsync, &fp)
-                .map_err(|e| e.to_string())?;
+            let fp = check_fingerprint(&a_text, &b_text, &cfg.settings_key());
+            let (journal, recovery) =
+                SessionJournal::open(jpath, opts.resume, opts.fsync, &fp, 0, 1)
+                    .map_err(|e| e.to_string())?;
             let mut seeds = CheckSeeds::new();
-            for r in recovered {
-                seeds.insert(r.i, r.j, r.verdict, r.budget);
+            for r in &recovery.verdicts[0] {
+                seeds.insert(r.i, r.j, r.verdict.clone(), r.budget);
             }
-            let sink = JournalVerdictSink(&journal);
-            let result = crosscheck_durable(&ga, &gb, &cfg, Some(&seeds), Some(&sink));
+            let sink = |i: usize, j: usize, verdict: &SatResult, budget: &SolverBudget| {
+                journal.record_verdict(0, i, j, verdict, budget)
+            };
+            let hooks = CheckHooks {
+                seeds: Some(&seeds),
+                sink: Some(&sink),
+                ..Default::default()
+            };
+            let result = crosscheck_hooked(&ga, &gb, &cfg, hooks);
             if let Some(e) = journal.take_error() {
                 return Err(format!("cannot append to {}: {e}", jpath.display()));
             }
@@ -737,7 +725,7 @@ fn cmd_check(args: &[String]) -> ExitCode {
             file_b: fb,
             ..
         }) => {
-            println!(
+            outln!(
                 "{} vs {} on '{}': {} queries, {} inconsistencies, {} unverified",
                 fa.agent,
                 fb.agent,
@@ -747,7 +735,7 @@ fn cmd_check(args: &[String]) -> ExitCode {
                 result.unverified.len()
             );
             if result.resolved_on_retry > 0 {
-                println!(
+                outln!(
                     "{} pair(s) resolved on budget-escalation retry",
                     result.resolved_on_retry
                 );
@@ -868,7 +856,7 @@ fn cmd_report(args: &[String]) -> ExitCode {
         }
     };
     let (result, fa, fb) = (&checked.result, &checked.file_a, &checked.file_b);
-    let test = find_test(&fa.test);
+    let test = OF10.find_test(&fa.test);
     let agents = (parse_agent(&fa.agent), parse_agent(&fb.agent));
     // Distill the witnesses up front (no fuzzing): the report shows the
     // minimized, replay-confirmed reproduction instead of the raw solver
@@ -898,7 +886,7 @@ fn cmd_report(args: &[String]) -> ExitCode {
         })
     };
     let causes = dedupe(&result.inconsistencies);
-    println!(
+    outln!(
         "== {} vs {} on '{}': {} inconsistencies, {} root-cause buckets ==",
         fa.agent,
         fb.agent,
@@ -909,7 +897,7 @@ fn cmd_report(args: &[String]) -> ExitCode {
     for cause in &causes {
         let inc = &result.inconsistencies[cause.members[0]];
         let entry = entry_for(cause.members[0]);
-        println!(
+        outln!(
             "\n[{}] {} instance(s)",
             classify(inc).label(),
             cause.members.len()
@@ -919,29 +907,31 @@ fn cmd_report(args: &[String]) -> ExitCode {
             if entry.is_some() && line.trim_start().starts_with("witness:") {
                 continue;
             }
-            println!("{line}");
+            outln!("{line}");
         }
         match entry {
             Some(e) => match &e.status {
                 Status::Confirmed { cluster } => {
                     let minimized: usize = e.messages().iter().map(|m| m.len()).sum();
-                    println!(
+                    outln!(
                         "  witness: cluster {cluster}, msg types {:?}, minimized {minimized} \
                          bytes, residual {}/{} free bytes",
-                        e.msg_types, e.residual_bytes, e.free_bytes
+                        e.msg_types,
+                        e.residual_bytes,
+                        e.free_bytes
                     );
                     for (i, msg) in e.messages().iter().enumerate() {
-                        println!("  repro msg{i}: {}", soft::witness::corpus::hex(msg));
+                        outln!("  repro msg{i}: {}", soft::witness::corpus::hex(msg));
                     }
                 }
                 Status::Unconfirmed { reason } => {
-                    println!("  witness: UNCONFIRMED — {reason}");
+                    outln!("  witness: UNCONFIRMED — {reason}");
                     if let Some(test) = &test {
                         // Fall back to the raw model bytes: an unconfirmed
                         // witness is still reported, never dropped.
                         for (i, msg) in reproduce(test, inc).iter().enumerate() {
                             let hex: String = msg.iter().map(|b| format!("{b:02x}")).collect();
-                            println!("  repro msg{i} (unconfirmed model): {hex}");
+                            outln!("  repro msg{i} (unconfirmed model): {hex}");
                         }
                     }
                 }
@@ -950,7 +940,7 @@ fn cmd_report(args: &[String]) -> ExitCode {
                 if let Some(test) = &test {
                     for (i, msg) in reproduce(test, inc).iter().enumerate() {
                         let hex: String = msg.iter().map(|b| format!("{b:02x}")).collect();
-                        println!("  repro msg{i}: {hex}");
+                        outln!("  repro msg{i}: {hex}");
                     }
                 }
             }
@@ -958,13 +948,13 @@ fn cmd_report(args: &[String]) -> ExitCode {
         if do_replay {
             if let (Some(test), (Some(a), Some(b))) = (&test, agents) {
                 let r = replay(test, inc, a, b);
-                println!(
+                outln!(
                     "  replay: diverges={} matches_prediction={}",
                     r.diverges(),
                     r.matches_prediction()
                 );
             } else {
-                println!("  replay: unknown test or agent ids; skipped");
+                outln!("  replay: unknown test or agent ids; skipped");
             }
         }
     }
@@ -1027,17 +1017,17 @@ fn cmd_report(args: &[String]) -> ExitCode {
             eprintln!("report: cannot write {json_path}: {e}");
             return ExitCode::FAILURE;
         }
-        println!("\n{json_path}");
+        outln!("\n{json_path}");
     }
     if !result.unverified.is_empty() {
-        println!(
+        outln!(
             "\n== {} pair(s) UNVERIFIED within the solver budget ==",
             result.unverified.len()
         );
         for uv in &result.unverified {
-            println!();
+            outln!();
             for line in describe_unverified(uv).lines() {
-                println!("{line}");
+                outln!("{line}");
             }
         }
     }
@@ -1085,7 +1075,7 @@ fn cmd_distill(args: &[String]) -> ExitCode {
         }
     };
     let (result, fa, fb) = (&checked.result, &checked.file_a, &checked.file_b);
-    let Some(test) = find_test(&fa.test) else {
+    let Some(test) = OF10.find_test(&fa.test) else {
         eprintln!("distill: unknown test '{}' (see `soft tests`)", fa.test);
         return ExitCode::FAILURE;
     };
@@ -1110,30 +1100,35 @@ fn cmd_distill(args: &[String]) -> ExitCode {
         },
     );
     let s = &report.stats;
-    println!(
+    outln!(
         "{} vs {} on '{}': {} witness(es) -> {} confirmed, {} unconfirmed, {} fuzz-added, {} root-cause cluster(s)",
         fa.agent, fb.agent, fa.test, s.witnesses, s.confirmed, s.unconfirmed, s.fuzz_added, s.clusters
     );
-    println!(
+    outln!(
         "  {} replay pair(s); free bytes minimized {} -> {} residual",
-        s.replays, s.free_bytes, s.residual_bytes
+        s.replays,
+        s.free_bytes,
+        s.residual_bytes
     );
     for c in report.corpus.clusters() {
-        println!(
+        outln!(
             "  cluster {}: [{}] {} — {} witness(es)",
-            c.id, c.kind, c.signature, c.members
+            c.id,
+            c.kind,
+            c.signature,
+            c.members
         );
     }
     for (i, e) in report.corpus.entries.iter().enumerate() {
         if let Status::Unconfirmed { reason } = &e.status {
-            println!("  unconfirmed #{i}: {reason}");
+            outln!("  unconfirmed #{i}: {reason}");
         }
     }
     if let Err(e) = report.corpus.save(Path::new(&out), journal.fsync) {
         eprintln!("distill: cannot write {out}: {e}");
         return ExitCode::FAILURE;
     }
-    println!("{out}");
+    outln!("{out}");
     verdict_exit_code(result, fa, fb)
 }
 
@@ -1180,17 +1175,18 @@ fn cmd_repro(args: &[String]) -> ExitCode {
     let mut failures = 0usize;
     for (idx, outcome) in &outcomes {
         match outcome {
-            Ok(()) => println!(
+            Ok(()) => outln!(
                 "witness #{idx}: reproduces [{}] {}",
-                corpus.entries[*idx].kind, corpus.entries[*idx].signature
+                corpus.entries[*idx].kind,
+                corpus.entries[*idx].signature
             ),
             Err(e) => {
                 failures += 1;
-                println!("witness #{idx}: FAILED — {e}");
+                outln!("witness #{idx}: FAILED — {e}");
             }
         }
     }
-    println!(
+    outln!(
         "{} vs {} on '{}': {}/{confirmed} confirmed witness(es) reproduce ({skipped} unconfirmed entr{} skipped)",
         corpus.agent_a,
         corpus.agent_b,
@@ -1232,12 +1228,15 @@ fn conform_config(args: &[String]) -> Result<ReplayConfig, String> {
 
 fn print_conform_report(report: &ConformReport) {
     let c = report.counts();
-    println!(
+    outln!(
         "conform: {} vs {} on '{}' against {}",
-        report.agent_a, report.agent_b, report.test, report.dut
+        report.agent_a,
+        report.agent_b,
+        report.test,
+        report.dut
     );
-    println!("  classification: {}", report.classification());
-    println!(
+    outln!("  classification: {}", report.classification());
+    outln!(
         "  verdicts: matches_a={} matches_b={} matches_both={} novel={} flaky={} unreachable={} skipped={}",
         c.matches_a, c.matches_b, c.matches_both, c.novel, c.flaky, c.unreachable, c.skipped
     );
@@ -1254,25 +1253,25 @@ fn print_conform_report(report: &ConformReport) {
             *counts.entry(v).or_default() += 1;
         }
         let parts: Vec<String> = counts.iter().map(|(v, n)| format!("{v}={n}")).collect();
-        println!("  cluster {cl}: {}", parts.join(" "));
+        outln!("  cluster {cl}: {}", parts.join(" "));
     }
     for w in &report.witnesses {
         match w.verdict {
-            Verdict::Novel => println!(
+            Verdict::Novel => outln!(
                 "  witness #{}: NOVEL — observed {} (expected A {} / B {})",
                 w.index,
                 w.observed.as_deref().unwrap_or("-"),
                 w.expected_a,
                 w.expected_b
             ),
-            Verdict::Flaky | Verdict::Unreachable => println!(
+            Verdict::Flaky | Verdict::Unreachable => outln!(
                 "  witness #{}: {} after {} attempts — {}",
                 w.index,
                 w.verdict.name(),
                 w.attempts,
                 w.detail.last().map(String::as_str).unwrap_or("no detail")
             ),
-            Verdict::Skipped => println!(
+            Verdict::Skipped => outln!(
                 "  witness #{}: skipped — {}",
                 w.index,
                 w.detail.first().map(String::as_str).unwrap_or("no reason")
@@ -1340,7 +1339,7 @@ fn cmd_conform(args: &[String]) -> ExitCode {
             }
         };
         for line in &st.summary {
-            println!("conform self-test: {line}");
+            outln!("conform self-test: {line}");
         }
         if let Some(json_path) = flag_value(args, "--json") {
             let j = Json::Object(vec![
@@ -1358,7 +1357,7 @@ fn cmd_conform(args: &[String]) -> ExitCode {
             }
         }
         return if st.passed() {
-            println!("conform self-test: PASS");
+            outln!("conform self-test: PASS");
             ExitCode::SUCCESS
         } else {
             for f in &st.failures {
@@ -1393,7 +1392,7 @@ fn cmd_conform(args: &[String]) -> ExitCode {
         let mut faulty = FaultyConnector::with_dialect(inner, seed, proto.dialect());
         match run_conform_with(proto, &corpus, &mut faulty, &cfg) {
             Ok(r2) if r2.verdict_fingerprint() == report.verdict_fingerprint() => {
-                println!("conform: fault seed {seed:#x} reproduced the clean verdicts exactly");
+                outln!("conform: fault seed {seed:#x} reproduced the clean verdicts exactly");
             }
             Ok(_) => {
                 mismatch = true;
@@ -1458,7 +1457,7 @@ fn cmd_conform_dut(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    println!("conform-dut: serving {} on {}", kind.id(), dut.addr());
+    outln!("conform-dut: serving {} on {}", kind.id(), dut.addr());
     // Serve until killed; the listener thread owns all the work.
     loop {
         std::thread::sleep(std::time::Duration::from_secs(3600));
@@ -1498,7 +1497,7 @@ fn cmd_regress(args: &[String]) -> ExitCode {
         &gb,
         &soft::core::CrosscheckConfig::default(),
     );
-    println!(
+    outln!(
         "baseline {} vs candidate {} on '{}': +{} output classes, -{} classes, {} shifted subspaces",
         fa.agent,
         fb.agent,
@@ -1509,11 +1508,11 @@ fn cmd_regress(args: &[String]) -> ExitCode {
     );
     for shift in report.shifts.iter().take(5) {
         for line in describe(shift).lines() {
-            println!("  {line}");
+            outln!("  {line}");
         }
     }
     if report.is_clean() {
-        println!("clean");
+        outln!("clean");
         ExitCode::SUCCESS
     } else {
         ExitCode::from(2)
@@ -1586,7 +1585,7 @@ fn cmd_submit(args: &[String]) -> ExitCode {
     if args.iter().any(|a| a == "--status") {
         return match soft::serve::request(&addr, &soft::harness::proto::status_request()) {
             Ok(reply) => {
-                println!("{reply}");
+                outln!("{reply}");
                 // `--json FILE` persists the exact status object — the
                 // same counter set the daemon writes to
                 // `serve_stats.json` on drain.
@@ -1597,7 +1596,7 @@ fn cmd_submit(args: &[String]) -> ExitCode {
                         eprintln!("submit: cannot write {json_path}: {e}");
                         return ExitCode::FAILURE;
                     }
-                    println!("{json_path}");
+                    outln!("{json_path}");
                 }
                 ExitCode::SUCCESS
             }
@@ -1678,7 +1677,7 @@ fn cmd_submit(args: &[String]) -> ExitCode {
         .field("store_hit")
         .and_then(Json::as_bool)
         .unwrap_or(false);
-    println!(
+    outln!(
         "{}: {} inconsistencies, {} unverified, {} confirmed witness(es){}; {} of {} pair(s) diff-seeded, {} solver queries",
         spec.test,
         s_u64("inconsistencies"),
@@ -1699,7 +1698,7 @@ fn cmd_submit(args: &[String]) -> ExitCode {
                 .map_err(|e| format!("missing {field}: {e}"))?;
             atomic_write(Path::new(&path), text.as_bytes(), true)
                 .map_err(|e| format!("cannot write {path}: {e}"))?;
-            println!("{path}");
+            outln!("{path}");
             Ok(())
         };
         let res = write(
@@ -1723,7 +1722,7 @@ fn cmd_submit(args: &[String]) -> ExitCode {
             eprintln!("submit: cannot write {json_path}: {e}");
             return ExitCode::FAILURE;
         }
-        println!("{json_path}");
+        outln!("{json_path}");
     }
     let truncated = summary
         .field("truncated")
@@ -1829,13 +1828,13 @@ fn cmd_fleet(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    println!("{reply}");
+    outln!("{reply}");
     if let Some(json_path) = flag_value(args, "--json") {
         if let Err(e) = atomic_write(Path::new(&json_path), reply.to_string().as_bytes(), true) {
             eprintln!("fleet: cannot write {json_path}: {e}");
             return ExitCode::FAILURE;
         }
-        println!("{json_path}");
+        outln!("{json_path}");
     }
     ExitCode::SUCCESS
 }

@@ -39,7 +39,7 @@ use soft_core::{
 };
 use soft_harness::journal::{
     atomic_write, run_unit_durable, session_fingerprint, SessionJournal, SessionRecovery,
-    UnitRecovery, VerdictRec,
+    VerdictRec,
 };
 use soft_harness::json::Json;
 use soft_harness::{record_path, TestCase, TestRun, TestRunFile};
@@ -185,16 +185,6 @@ impl SessionReport {
     }
 }
 
-/// Crosscheck settings string hashed into the session fingerprint; must
-/// stay in sync with the phased `check` command's settings string so a
-/// given configuration identifies the same work in both flows.
-fn check_settings(cfg: &SessionConfig, check: &CrosscheckConfig) -> String {
-    format!(
-        "budget={:?};rungs={};factor={};cap={:?}",
-        cfg.solver_budget, check.retry_rungs, check.retry_factor, check.retry_cap
-    )
-}
-
 /// Run the whole streaming session: explore, group, crosscheck, and
 /// distill every configured test through one pipeline, publishing the
 /// same artifacts the phased commands would (modulo recorded wall-clock)
@@ -220,7 +210,7 @@ pub fn run_session(cfg: &SessionConfig) -> Result<SessionReport, String> {
                 cfg.agent_b,
                 &cfg.tests,
                 &base_explorer,
-                &check_settings(cfg, &check_cfg),
+                &check_cfg.settings_key(),
                 &format!("seed={};fuzz={}", cfg.seed, cfg.fuzz_tries),
             );
             let (journal, recovery) = SessionJournal::open(
@@ -234,14 +224,7 @@ pub fn run_session(cfg: &SessionConfig) -> Result<SessionReport, String> {
             .map_err(|e| format!("journal {}: {e}", path.display()))?;
             (Some(journal), recovery)
         }
-        None => (
-            None,
-            SessionRecovery {
-                units: (0..n_units).map(|_| UnitRecovery::default()).collect(),
-                verdicts: vec![Vec::new(); cfg.tests.len()],
-                corpora: vec![None; cfg.tests.len()],
-            },
-        ),
+        None => (None, SessionRecovery::empty(n_units, cfg.tests.len())),
     };
     let mut outcomes = Vec::with_capacity(cfg.tests.len());
     for (t, test) in cfg.tests.iter().enumerate() {

@@ -246,3 +246,49 @@ fn check_rejects_corrupt_artifacts() {
     assert_eq!(code, Some(1));
     assert!(stderr.contains("cannot parse"));
 }
+
+#[test]
+fn closed_stdout_ends_quietly() {
+    // `soft tests | head -1`: the reader goes away before the listing is
+    // written. A closed pipe is a normal end of output, not a crash.
+    let mut child = Command::new(soft_bin())
+        .arg("tests")
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn soft binary");
+    drop(child.stdout.take()); // close the read end early
+    let out = child.wait_with_output().expect("wait for soft binary");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+}
+
+#[test]
+fn matrix_phase1_rejects_a_single_journal_file() {
+    let dir = std::env::temp_dir().join(format!("soft_cli_matrix_journal_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let prefix = format!("{}/m_", dir.display());
+    let journal = dir.join("my.wal");
+    // Matrix mode journals each combination next to its artifact, so one
+    // `--journal FILE` cannot be honored: refuse it rather than ignore it.
+    let (stdout, stderr, code) = run(&[
+        "phase1",
+        "--agent",
+        "all",
+        "--test",
+        "queue_config",
+        "--out",
+        &prefix,
+        "--journal",
+        journal.to_str().unwrap(),
+    ]);
+    assert_eq!(code, Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("<out><agent>_<test>.json.wal"),
+        "the error must name the per-combination layout: {stderr}"
+    );
+    assert!(stdout.is_empty(), "no artifact may be written: {stdout}");
+    assert!(!journal.exists());
+    let _ = std::fs::remove_dir_all(&dir);
+}
