@@ -189,6 +189,23 @@ pub fn table1_suite() -> Vec<TestCase> {
     ]
 }
 
+/// The interoperability tests whose crosschecks stay tractable: Table 1
+/// without its two path-exploding Flow Mod tests (`flow_mod`,
+/// `eth_flow_mod`), plus `queue_config` and `timeout_flow_mod`. The
+/// default workload of the solver and pipeline benches.
+pub fn interop_suite() -> Vec<TestCase> {
+    vec![
+        packet_out(),
+        stats_request(),
+        set_config(),
+        cs_flow_mods(),
+        concrete(),
+        short_symb(),
+        queue_config(),
+        timeout_flow_mod(),
+    ]
+}
+
 /// The crosscheckable subset used by Table 3 (the paper's Table 3 lists
 /// Packet Out, Stats Request, Set Config, Eth FlowMod, CS FlowMods, and
 /// Short Symb).

@@ -1269,6 +1269,29 @@ pub fn run_unit_durable(
     Ok(summarize(agent, test, ex))
 }
 
+/// One phase-1 exploration of (agent, test) through its own journal at
+/// `path`: a [`phase1_fingerprint`] header over one exploration unit and
+/// no crosscheck tests. With `resume`, a surviving journal seeds the
+/// exploration; without it the file is started fresh. The result equals
+/// [`crate::run_test`] modulo wall time.
+pub fn explore_journaled(
+    agent: impl Into<AgentRef>,
+    test: &TestCase,
+    cfg: &ExplorerConfig,
+    path: &Path,
+    resume: bool,
+    fsync: bool,
+) -> Result<TestRun, JournalError> {
+    let agent = agent.into();
+    let fp = phase1_fingerprint(agent, test, cfg);
+    let (j, recovery) = SessionJournal::open(path, resume, fsync, &fp, 1, 0)?;
+    let run = run_unit_durable(agent, test, cfg, &recovery.units[0], &j.unit_sink(0))?;
+    match j.take_error() {
+        Some(e) => Err(JournalError::Io(e)),
+        None => Ok(run),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1464,22 +1487,6 @@ mod tests {
         }
     }
 
-    /// One phase-1 exploration through a one-unit journal, the way
-    /// `soft phase1` runs it.
-    fn phase1_journaled(
-        agent: AgentKind,
-        test: &TestCase,
-        cfg: &ExplorerConfig,
-        path: &Path,
-        resume: bool,
-    ) -> Result<TestRun, JournalError> {
-        let fp = phase1_fingerprint(agent, test, cfg);
-        let (j, rec) = SessionJournal::open(path, resume, false, &fp, 1, 0)?;
-        let run = run_unit_durable(agent, test, cfg, &rec.units[0], &j.unit_sink(0))?;
-        assert!(j.take_error().is_none());
-        Ok(run)
-    }
-
     #[test]
     fn durable_run_matches_plain_run() {
         let tests = suite::table1_suite();
@@ -1488,7 +1495,7 @@ mod tests {
         let cfg = ExplorerConfig::default();
         let plain = crate::run_test(agent, test, &cfg);
         let path = temp_path("fresh_run");
-        let run = phase1_journaled(agent, test, &cfg, &path, false).unwrap();
+        let run = explore_journaled(agent, test, &cfg, &path, false, false).unwrap();
         assert_eq!(
             crate::wire::TestRunFile::from_run(&run).paths,
             crate::wire::TestRunFile::from_run(&plain).paths
@@ -1503,7 +1510,7 @@ mod tests {
         let test = &tests[0];
         let cfg = ExplorerConfig::default();
         let path = temp_path("resume_full");
-        let first = phase1_journaled(agent, test, &cfg, &path, false).unwrap();
+        let first = explore_journaled(agent, test, &cfg, &path, false, false).unwrap();
         let journal_after_first = fs::read(&path).unwrap();
         // Resume with a different worker count: replay everything, fork
         // nothing, append nothing.
@@ -1511,7 +1518,7 @@ mod tests {
             workers: 4,
             ..ExplorerConfig::default()
         };
-        let resumed = phase1_journaled(agent, test, &cfg4, &path, true).unwrap();
+        let resumed = explore_journaled(agent, test, &cfg4, &path, true, false).unwrap();
         assert_eq!(
             crate::wire::TestRunFile::from_run(&first).paths,
             crate::wire::TestRunFile::from_run(&resumed).paths
@@ -1528,7 +1535,7 @@ mod tests {
         let test = &tests[0];
         let cfg = ExplorerConfig::default();
         let path = temp_path("resume_cut");
-        let reference = phase1_journaled(agent, test, &cfg, &path, false).unwrap();
+        let reference = explore_journaled(agent, test, &cfg, &path, false, false).unwrap();
         // Keep the header plus the first two path records; drop the rest
         // plus simulate a torn final append.
         let bytes = fs::read(&path).unwrap();
@@ -1542,7 +1549,7 @@ mod tests {
         let mut cut = bytes[..keep].to_vec();
         cut.extend_from_slice(&77u32.to_le_bytes()); // torn tail
         fs::write(&path, &cut).unwrap();
-        let resumed = phase1_journaled(agent, test, &cfg, &path, true).unwrap();
+        let resumed = explore_journaled(agent, test, &cfg, &path, true, false).unwrap();
         assert_eq!(
             crate::wire::TestRunFile::from_run(&reference).paths,
             crate::wire::TestRunFile::from_run(&resumed).paths
@@ -1567,10 +1574,10 @@ mod tests {
         let tests = suite::table1_suite();
         let cfg = ExplorerConfig::default();
         let path = temp_path("foreign");
-        phase1_journaled(AgentKind::Reference, &tests[0], &cfg, &path, false).unwrap();
+        explore_journaled(AgentKind::Reference, &tests[0], &cfg, &path, false, false).unwrap();
         // Same journal, different agent: must refuse, not fabricate.
-        let err =
-            phase1_journaled(AgentKind::OpenVSwitch, &tests[0], &cfg, &path, true).unwrap_err();
+        let err = explore_journaled(AgentKind::OpenVSwitch, &tests[0], &cfg, &path, true, false)
+            .unwrap_err();
         assert!(matches!(err, JournalError::Mismatch(_)), "got {err}");
         fs::remove_file(&path).unwrap();
     }
@@ -1589,8 +1596,8 @@ mod tests {
                 ..ExplorerConfig::default()
             },
         ] {
-            let err =
-                phase1_journaled(AgentKind::Reference, &tests[0], &cfg, &path, false).unwrap_err();
+            let err = explore_journaled(AgentKind::Reference, &tests[0], &cfg, &path, false, false)
+                .unwrap_err();
             assert!(matches!(err, JournalError::Unsupported(_)), "got {err}");
         }
         let _ = fs::remove_file(&path);

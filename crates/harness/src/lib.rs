@@ -22,7 +22,7 @@ pub mod wire;
 
 pub use input::{Input, TestCase};
 pub use journal::{
-    atomic_write, check_fingerprint, fnv64_hex, phase1_fingerprint, run_unit_durable,
+    atomic_write, check_fingerprint, explore_journaled, fnv64_hex, run_unit_durable,
     session_fingerprint, CorpusRec, JournalError, RecordSink, SessionJournal, SessionRecovery,
     UnitRecovery, VerdictRec,
 };

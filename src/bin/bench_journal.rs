@@ -9,9 +9,7 @@
 //! Usage: bench_journal [--test <id>] [--reps N] [--out FILE]
 
 use soft::agents::OF10;
-use soft::harness::{
-    atomic_write, phase1_fingerprint, run_test, run_unit_durable, SessionJournal, TestCase,
-};
+use soft::harness::{atomic_write, explore_journaled, run_test, TestCase};
 use soft::protocol::Protocol;
 use soft::sym::ExplorerConfig;
 use soft::AgentKind;
@@ -71,16 +69,11 @@ fn main() -> ExitCode {
     eprintln!("bench_journal: '{test_id}', {baseline_paths} paths, {reps} reps per mode");
 
     // Interleave the three modes within each round so clock-speed drift
-    // during the benchmark biases none of them. The journaled modes run
-    // exactly as `soft phase1` does: one one-unit journal per run.
-    let fp = phase1_fingerprint(agent, &test, &cfg);
+    // during the benchmark biases none of them. The journaled modes make
+    // the call `soft phase1` makes.
     let durable = |fsync: bool| {
         let _ = std::fs::remove_file(&journal);
-        let (j, recovery) =
-            SessionJournal::open(&journal, false, fsync, &fp, 1, 0).expect("open journal");
-        run_unit_durable(agent, &test, &cfg, &recovery.units[0], &j.unit_sink(0))
-            .expect("durable run");
-        assert!(j.take_error().is_none(), "journal write failed");
+        explore_journaled(agent, &test, &cfg, &journal, false, fsync).expect("durable run");
     };
     let (mut plain, mut nofsync, mut fsync) = (Vec::new(), Vec::new(), Vec::new());
     for _ in 0..reps {

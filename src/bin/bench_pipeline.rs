@@ -71,22 +71,6 @@ fn timed<F: FnOnce()>(f: F) -> f64 {
     t0.elapsed().as_secs_f64() * 1e3
 }
 
-/// The default bench suite: interoperability tests with tractable
-/// crosschecks: the catalog minus the two heavy tests and the Table 5
-/// concretization ablations (see the module docs for what `all` adds and
-/// why it is not the default).
-fn interop_tests() -> Vec<TestCase> {
-    const HEAVY: [&str; 2] = ["flow_mod", "eth_flow_mod"];
-    let ablations: Vec<&str> = suite::ablation::table5_suite()
-        .iter()
-        .map(|t| t.id)
-        .collect();
-    OF10.tests()
-        .into_iter()
-        .filter(|t| !HEAVY.contains(&t.id) && !ablations.contains(&t.id))
-        .collect()
-}
-
 /// Zero the one artifact field allowed to differ between the two flows.
 fn normalize_wall(text: &str) -> String {
     let Some(at) = text.find("\"wall_ms\":") else {
@@ -273,7 +257,7 @@ fn main() -> ExitCode {
     let tests: Vec<TestCase> = if test_arg == "all" {
         OF10.tests()
     } else if test_arg == "interop" {
-        interop_tests()
+        suite::interop_suite()
     } else {
         let catalog = OF10.tests();
         let mut picked = Vec::new();

@@ -45,21 +45,6 @@ fn median_ms(samples: &mut [f64]) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// Interoperability tests with tractable crosschecks (the default; same
-/// cut as `bench_pipeline`): the catalog minus the two heavy tests and the
-/// Table 5 concretization ablations.
-fn interop_tests() -> Vec<TestCase> {
-    const HEAVY: [&str; 2] = ["flow_mod", "eth_flow_mod"];
-    let ablations: Vec<&str> = suite::ablation::table5_suite()
-        .iter()
-        .map(|t| t.id)
-        .collect();
-    OF10.tests()
-        .into_iter()
-        .filter(|t| !HEAVY.contains(&t.id) && !ablations.contains(&t.id))
-        .collect()
-}
-
 /// A stable digest of everything verdict-like in a crosscheck result.
 /// Two runs with equal digests decided every pair identically. Witness
 /// assignments are serialized in sorted variable order (the backing map
@@ -222,7 +207,7 @@ fn main() -> ExitCode {
     let tests: Vec<TestCase> = if test_arg == "all" {
         OF10.tests()
     } else if test_arg == "interop" {
-        interop_tests()
+        suite::interop_suite()
     } else {
         let catalog = OF10.tests();
         let mut picked = Vec::new();

@@ -29,8 +29,8 @@ use soft::core::{
 use soft::fleet::job::{agent_by_name, protocol_by_id};
 use soft::harness::json::Json;
 use soft::harness::{
-    atomic_write, check_fingerprint, phase1_fingerprint, run_matrix, run_test, run_unit_durable,
-    JournalError, SessionJournal, TestCase, TestRun, TestRunFile,
+    atomic_write, check_fingerprint, explore_journaled, run_matrix, run_test, JournalError,
+    SessionJournal, TestCase, TestRun, TestRunFile,
 };
 use soft::protocol::{AgentRef, Protocol};
 use soft::smt::{SatResult, SolverBudget};
@@ -41,10 +41,12 @@ use soft::{run_session, AgentKind, SessionConfig};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// `println!` for command output. A closed stdout (`soft tests | head -1`)
-/// is a normal end: the process exits 0 quietly instead of panicking.
-macro_rules! outln {
+/// is a normal end of output, not a crash: later lines are dropped, and the
+/// verb still writes its files and returns its own exit code.
+macro_rules! putline {
     () => {
         emit(format_args!(""))
     };
@@ -53,13 +55,19 @@ macro_rules! outln {
     };
 }
 
+/// Set once stdout's reader has gone away.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
 fn emit(line: std::fmt::Arguments<'_>) {
-    if let Err(e) = writeln!(std::io::stdout(), "{line}") {
-        if e.kind() == std::io::ErrorKind::BrokenPipe {
-            std::process::exit(0);
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    match writeln!(std::io::stdout(), "{line}") {
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => {
+            STDOUT_CLOSED.store(true, Ordering::Relaxed)
         }
-        eprintln!("soft: cannot write to stdout: {e}");
-        std::process::exit(1);
+        Err(e) => panic!("failed printing to stdout: {e}"),
+        Ok(()) => {}
     }
 }
 
@@ -273,9 +281,9 @@ fn cmd_tests(args: &[String]) -> ExitCode {
         Ok(p) => p,
         Err(code) => return code,
     };
-    outln!("{:<20} {:<4} description", "id", "#in");
+    putline!("{:<20} {:<4} description", "id", "#in");
     for t in proto.tests() {
-        outln!("{:<20} {:<4} {}", t.id, t.inputs.len(), t.description);
+        putline!("{:<20} {:<4} {}", t.id, t.inputs.len(), t.description);
     }
     ExitCode::SUCCESS
 }
@@ -375,13 +383,7 @@ fn cmd_phase1(args: &[String]) -> ExitCode {
             Some(p) => PathBuf::from(p),
             None => PathBuf::from(format!("{}.wal", artifact_path(agent.id(), test.id))),
         };
-        let fp = phase1_fingerprint(agent, test, &cfg);
-        let (j, recovery) = SessionJournal::open(&path, journal.resume, journal.fsync, &fp, 1, 0)?;
-        let run = run_unit_durable(agent, test, &cfg, &recovery.units[0], &j.unit_sink(0))?;
-        match j.take_error() {
-            Some(e) => Err(JournalError::Io(e)),
-            None => Ok(run),
-        }
+        explore_journaled(agent, test, &cfg, &path, journal.resume, journal.fsync)
     };
     let mut truncated: Vec<String> = Vec::new();
     let mut failed = 0usize;
@@ -415,7 +417,7 @@ fn cmd_phase1(args: &[String]) -> ExitCode {
         if run.stats.truncated {
             truncated.push(format!("{}/{}", run.agent, run.test));
         }
-        outln!("{path}");
+        putline!("{path}");
     }
     if failed > 0 {
         eprintln!("phase1: {failed} combination(s) failed to journal or resume");
@@ -518,7 +520,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
         }
     };
     for o in &report.outcomes {
-        outln!(
+        putline!(
             "{}: {}+{} paths, {} inconsistencies, {} unverified, {} confirmed witness(es) in {} cluster(s) -> {}{}",
             o.test,
             o.paths_a,
@@ -725,7 +727,7 @@ fn cmd_check(args: &[String]) -> ExitCode {
             file_b: fb,
             ..
         }) => {
-            outln!(
+            putline!(
                 "{} vs {} on '{}': {} queries, {} inconsistencies, {} unverified",
                 fa.agent,
                 fb.agent,
@@ -735,7 +737,7 @@ fn cmd_check(args: &[String]) -> ExitCode {
                 result.unverified.len()
             );
             if result.resolved_on_retry > 0 {
-                outln!(
+                putline!(
                     "{} pair(s) resolved on budget-escalation retry",
                     result.resolved_on_retry
                 );
@@ -886,7 +888,7 @@ fn cmd_report(args: &[String]) -> ExitCode {
         })
     };
     let causes = dedupe(&result.inconsistencies);
-    outln!(
+    putline!(
         "== {} vs {} on '{}': {} inconsistencies, {} root-cause buckets ==",
         fa.agent,
         fb.agent,
@@ -897,7 +899,7 @@ fn cmd_report(args: &[String]) -> ExitCode {
     for cause in &causes {
         let inc = &result.inconsistencies[cause.members[0]];
         let entry = entry_for(cause.members[0]);
-        outln!(
+        putline!(
             "\n[{}] {} instance(s)",
             classify(inc).label(),
             cause.members.len()
@@ -907,13 +909,13 @@ fn cmd_report(args: &[String]) -> ExitCode {
             if entry.is_some() && line.trim_start().starts_with("witness:") {
                 continue;
             }
-            outln!("{line}");
+            putline!("{line}");
         }
         match entry {
             Some(e) => match &e.status {
                 Status::Confirmed { cluster } => {
                     let minimized: usize = e.messages().iter().map(|m| m.len()).sum();
-                    outln!(
+                    putline!(
                         "  witness: cluster {cluster}, msg types {:?}, minimized {minimized} \
                          bytes, residual {}/{} free bytes",
                         e.msg_types,
@@ -921,17 +923,17 @@ fn cmd_report(args: &[String]) -> ExitCode {
                         e.free_bytes
                     );
                     for (i, msg) in e.messages().iter().enumerate() {
-                        outln!("  repro msg{i}: {}", soft::witness::corpus::hex(msg));
+                        putline!("  repro msg{i}: {}", soft::witness::corpus::hex(msg));
                     }
                 }
                 Status::Unconfirmed { reason } => {
-                    outln!("  witness: UNCONFIRMED — {reason}");
+                    putline!("  witness: UNCONFIRMED — {reason}");
                     if let Some(test) = &test {
                         // Fall back to the raw model bytes: an unconfirmed
                         // witness is still reported, never dropped.
                         for (i, msg) in reproduce(test, inc).iter().enumerate() {
                             let hex: String = msg.iter().map(|b| format!("{b:02x}")).collect();
-                            outln!("  repro msg{i} (unconfirmed model): {hex}");
+                            putline!("  repro msg{i} (unconfirmed model): {hex}");
                         }
                     }
                 }
@@ -940,7 +942,7 @@ fn cmd_report(args: &[String]) -> ExitCode {
                 if let Some(test) = &test {
                     for (i, msg) in reproduce(test, inc).iter().enumerate() {
                         let hex: String = msg.iter().map(|b| format!("{b:02x}")).collect();
-                        outln!("  repro msg{i}: {hex}");
+                        putline!("  repro msg{i}: {hex}");
                     }
                 }
             }
@@ -948,13 +950,13 @@ fn cmd_report(args: &[String]) -> ExitCode {
         if do_replay {
             if let (Some(test), (Some(a), Some(b))) = (&test, agents) {
                 let r = replay(test, inc, a, b);
-                outln!(
+                putline!(
                     "  replay: diverges={} matches_prediction={}",
                     r.diverges(),
                     r.matches_prediction()
                 );
             } else {
-                outln!("  replay: unknown test or agent ids; skipped");
+                putline!("  replay: unknown test or agent ids; skipped");
             }
         }
     }
@@ -1017,17 +1019,17 @@ fn cmd_report(args: &[String]) -> ExitCode {
             eprintln!("report: cannot write {json_path}: {e}");
             return ExitCode::FAILURE;
         }
-        outln!("\n{json_path}");
+        putline!("\n{json_path}");
     }
     if !result.unverified.is_empty() {
-        outln!(
+        putline!(
             "\n== {} pair(s) UNVERIFIED within the solver budget ==",
             result.unverified.len()
         );
         for uv in &result.unverified {
-            outln!();
+            putline!();
             for line in describe_unverified(uv).lines() {
-                outln!("{line}");
+                putline!("{line}");
             }
         }
     }
@@ -1100,18 +1102,18 @@ fn cmd_distill(args: &[String]) -> ExitCode {
         },
     );
     let s = &report.stats;
-    outln!(
+    putline!(
         "{} vs {} on '{}': {} witness(es) -> {} confirmed, {} unconfirmed, {} fuzz-added, {} root-cause cluster(s)",
         fa.agent, fb.agent, fa.test, s.witnesses, s.confirmed, s.unconfirmed, s.fuzz_added, s.clusters
     );
-    outln!(
+    putline!(
         "  {} replay pair(s); free bytes minimized {} -> {} residual",
         s.replays,
         s.free_bytes,
         s.residual_bytes
     );
     for c in report.corpus.clusters() {
-        outln!(
+        putline!(
             "  cluster {}: [{}] {} — {} witness(es)",
             c.id,
             c.kind,
@@ -1121,14 +1123,14 @@ fn cmd_distill(args: &[String]) -> ExitCode {
     }
     for (i, e) in report.corpus.entries.iter().enumerate() {
         if let Status::Unconfirmed { reason } = &e.status {
-            outln!("  unconfirmed #{i}: {reason}");
+            putline!("  unconfirmed #{i}: {reason}");
         }
     }
     if let Err(e) = report.corpus.save(Path::new(&out), journal.fsync) {
         eprintln!("distill: cannot write {out}: {e}");
         return ExitCode::FAILURE;
     }
-    outln!("{out}");
+    putline!("{out}");
     verdict_exit_code(result, fa, fb)
 }
 
@@ -1175,18 +1177,18 @@ fn cmd_repro(args: &[String]) -> ExitCode {
     let mut failures = 0usize;
     for (idx, outcome) in &outcomes {
         match outcome {
-            Ok(()) => outln!(
+            Ok(()) => putline!(
                 "witness #{idx}: reproduces [{}] {}",
                 corpus.entries[*idx].kind,
                 corpus.entries[*idx].signature
             ),
             Err(e) => {
                 failures += 1;
-                outln!("witness #{idx}: FAILED — {e}");
+                putline!("witness #{idx}: FAILED — {e}");
             }
         }
     }
-    outln!(
+    putline!(
         "{} vs {} on '{}': {}/{confirmed} confirmed witness(es) reproduce ({skipped} unconfirmed entr{} skipped)",
         corpus.agent_a,
         corpus.agent_b,
@@ -1228,15 +1230,15 @@ fn conform_config(args: &[String]) -> Result<ReplayConfig, String> {
 
 fn print_conform_report(report: &ConformReport) {
     let c = report.counts();
-    outln!(
+    putline!(
         "conform: {} vs {} on '{}' against {}",
         report.agent_a,
         report.agent_b,
         report.test,
         report.dut
     );
-    outln!("  classification: {}", report.classification());
-    outln!(
+    putline!("  classification: {}", report.classification());
+    putline!(
         "  verdicts: matches_a={} matches_b={} matches_both={} novel={} flaky={} unreachable={} skipped={}",
         c.matches_a, c.matches_b, c.matches_both, c.novel, c.flaky, c.unreachable, c.skipped
     );
@@ -1253,25 +1255,25 @@ fn print_conform_report(report: &ConformReport) {
             *counts.entry(v).or_default() += 1;
         }
         let parts: Vec<String> = counts.iter().map(|(v, n)| format!("{v}={n}")).collect();
-        outln!("  cluster {cl}: {}", parts.join(" "));
+        putline!("  cluster {cl}: {}", parts.join(" "));
     }
     for w in &report.witnesses {
         match w.verdict {
-            Verdict::Novel => outln!(
+            Verdict::Novel => putline!(
                 "  witness #{}: NOVEL — observed {} (expected A {} / B {})",
                 w.index,
                 w.observed.as_deref().unwrap_or("-"),
                 w.expected_a,
                 w.expected_b
             ),
-            Verdict::Flaky | Verdict::Unreachable => outln!(
+            Verdict::Flaky | Verdict::Unreachable => putline!(
                 "  witness #{}: {} after {} attempts — {}",
                 w.index,
                 w.verdict.name(),
                 w.attempts,
                 w.detail.last().map(String::as_str).unwrap_or("no detail")
             ),
-            Verdict::Skipped => outln!(
+            Verdict::Skipped => putline!(
                 "  witness #{}: skipped — {}",
                 w.index,
                 w.detail.first().map(String::as_str).unwrap_or("no reason")
@@ -1339,7 +1341,7 @@ fn cmd_conform(args: &[String]) -> ExitCode {
             }
         };
         for line in &st.summary {
-            outln!("conform self-test: {line}");
+            putline!("conform self-test: {line}");
         }
         if let Some(json_path) = flag_value(args, "--json") {
             let j = Json::Object(vec![
@@ -1357,7 +1359,7 @@ fn cmd_conform(args: &[String]) -> ExitCode {
             }
         }
         return if st.passed() {
-            outln!("conform self-test: PASS");
+            putline!("conform self-test: PASS");
             ExitCode::SUCCESS
         } else {
             for f in &st.failures {
@@ -1392,7 +1394,7 @@ fn cmd_conform(args: &[String]) -> ExitCode {
         let mut faulty = FaultyConnector::with_dialect(inner, seed, proto.dialect());
         match run_conform_with(proto, &corpus, &mut faulty, &cfg) {
             Ok(r2) if r2.verdict_fingerprint() == report.verdict_fingerprint() => {
-                outln!("conform: fault seed {seed:#x} reproduced the clean verdicts exactly");
+                putline!("conform: fault seed {seed:#x} reproduced the clean verdicts exactly");
             }
             Ok(_) => {
                 mismatch = true;
@@ -1457,7 +1459,7 @@ fn cmd_conform_dut(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    outln!("conform-dut: serving {} on {}", kind.id(), dut.addr());
+    putline!("conform-dut: serving {} on {}", kind.id(), dut.addr());
     // Serve until killed; the listener thread owns all the work.
     loop {
         std::thread::sleep(std::time::Duration::from_secs(3600));
@@ -1497,7 +1499,7 @@ fn cmd_regress(args: &[String]) -> ExitCode {
         &gb,
         &soft::core::CrosscheckConfig::default(),
     );
-    outln!(
+    putline!(
         "baseline {} vs candidate {} on '{}': +{} output classes, -{} classes, {} shifted subspaces",
         fa.agent,
         fb.agent,
@@ -1508,11 +1510,11 @@ fn cmd_regress(args: &[String]) -> ExitCode {
     );
     for shift in report.shifts.iter().take(5) {
         for line in describe(shift).lines() {
-            outln!("  {line}");
+            putline!("  {line}");
         }
     }
     if report.is_clean() {
-        outln!("clean");
+        putline!("clean");
         ExitCode::SUCCESS
     } else {
         ExitCode::from(2)
@@ -1585,7 +1587,7 @@ fn cmd_submit(args: &[String]) -> ExitCode {
     if args.iter().any(|a| a == "--status") {
         return match soft::serve::request(&addr, &soft::harness::proto::status_request()) {
             Ok(reply) => {
-                outln!("{reply}");
+                putline!("{reply}");
                 // `--json FILE` persists the exact status object — the
                 // same counter set the daemon writes to
                 // `serve_stats.json` on drain.
@@ -1596,7 +1598,7 @@ fn cmd_submit(args: &[String]) -> ExitCode {
                         eprintln!("submit: cannot write {json_path}: {e}");
                         return ExitCode::FAILURE;
                     }
-                    outln!("{json_path}");
+                    putline!("{json_path}");
                 }
                 ExitCode::SUCCESS
             }
@@ -1677,7 +1679,7 @@ fn cmd_submit(args: &[String]) -> ExitCode {
         .field("store_hit")
         .and_then(Json::as_bool)
         .unwrap_or(false);
-    outln!(
+    putline!(
         "{}: {} inconsistencies, {} unverified, {} confirmed witness(es){}; {} of {} pair(s) diff-seeded, {} solver queries",
         spec.test,
         s_u64("inconsistencies"),
@@ -1698,7 +1700,7 @@ fn cmd_submit(args: &[String]) -> ExitCode {
                 .map_err(|e| format!("missing {field}: {e}"))?;
             atomic_write(Path::new(&path), text.as_bytes(), true)
                 .map_err(|e| format!("cannot write {path}: {e}"))?;
-            outln!("{path}");
+            putline!("{path}");
             Ok(())
         };
         let res = write(
@@ -1722,7 +1724,7 @@ fn cmd_submit(args: &[String]) -> ExitCode {
             eprintln!("submit: cannot write {json_path}: {e}");
             return ExitCode::FAILURE;
         }
-        outln!("{json_path}");
+        putline!("{json_path}");
     }
     let truncated = summary
         .field("truncated")
@@ -1828,13 +1830,13 @@ fn cmd_fleet(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    outln!("{reply}");
+    putline!("{reply}");
     if let Some(json_path) = flag_value(args, "--json") {
         if let Err(e) = atomic_write(Path::new(&json_path), reply.to_string().as_bytes(), true) {
             eprintln!("fleet: cannot write {json_path}: {e}");
             return ExitCode::FAILURE;
         }
-        outln!("{json_path}");
+        putline!("{json_path}");
     }
     ExitCode::SUCCESS
 }

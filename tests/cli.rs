@@ -247,21 +247,71 @@ fn check_rejects_corrupt_artifacts() {
     assert!(stderr.contains("cannot parse"));
 }
 
-#[test]
-fn closed_stdout_ends_quietly() {
-    // `soft tests | head -1`: the reader goes away before the listing is
-    // written. A closed pipe is a normal end of output, not a crash.
+/// Run `soft` with the read end of its stdout closed before it writes
+/// (`soft … | head -1`); returns stderr and the exit code.
+fn run_stdout_closed(args: &[&str]) -> (String, Option<i32>) {
     let mut child = Command::new(soft_bin())
-        .arg("tests")
+        .args(args)
         .stdout(std::process::Stdio::piped())
         .stderr(std::process::Stdio::piped())
         .spawn()
         .expect("spawn soft binary");
-    drop(child.stdout.take()); // close the read end early
+    drop(child.stdout.take());
     let out = child.wait_with_output().expect("wait for soft binary");
-    let stderr = String::from_utf8_lossy(&out.stderr);
+    (
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+        out.status.code(),
+    )
+}
+
+#[test]
+fn closed_stdout_ends_quietly() {
+    // A closed pipe is a normal end of output, not a crash.
+    let (stderr, code) = run_stdout_closed(&["tests"]);
     assert!(!stderr.contains("panicked"), "{stderr}");
-    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+}
+
+#[test]
+fn closed_stdout_keeps_files_and_verdict_exit_code() {
+    let dir = std::env::temp_dir().join(format!("soft_cli_closed_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (a, b) = (dir.join("ref.json"), dir.join("ovs.json"));
+    for (agent, out) in [("reference", &a), ("ovs", &b)] {
+        let (_, stderr, code) = run(&[
+            "phase1",
+            "--agent",
+            agent,
+            "--test",
+            "queue_config",
+            "--out",
+            out.to_str().unwrap(),
+            "--no-fsync",
+        ]);
+        assert_eq!(code, Some(0), "stderr: {stderr}");
+    }
+    let (a, b) = (a.to_str().unwrap(), b.to_str().unwrap());
+    // Losing the reader must not lose the verdict: `check … | grep -q`
+    // under `set -o pipefail` still sees exit 2.
+    let (stderr, code) = run_stdout_closed(&["check", a, b, "--no-journal"]);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(code, Some(2), "stderr: {stderr}");
+    // distill prints its clusters before it saves the corpus; the corpus
+    // must still be written.
+    let corpus = dir.join("corpus.json");
+    let (stderr, code) = run_stdout_closed(&[
+        "distill",
+        a,
+        b,
+        "--out",
+        corpus.to_str().unwrap(),
+        "--no-journal",
+    ]);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(code, Some(2), "stderr: {stderr}");
+    assert!(corpus.exists(), "distill must save its corpus");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
