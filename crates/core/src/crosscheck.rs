@@ -301,8 +301,8 @@ pub trait VerdictSink: Sync {
     /// Called once per *freshly solved* verdict the moment it is
     /// produced, from whichever worker thread solved it — delivery order
     /// is scheduling-dependent, unlike [`VerdictSink::on_verdict`]'s
-    /// canonical pair order. This is the streaming hook: eager witness
-    /// distillation starts here instead of waiting for the pass barrier.
+    /// canonical pair order. This is the eager-distillation hook: witness
+    /// drafting starts here instead of waiting for the pass barrier.
     /// Seeded (journal-recovered) verdicts are not re-delivered, and a
     /// worker lost mid-query degrades its slot to Unknown without a call.
     /// Default: no-op.
@@ -310,7 +310,7 @@ pub trait VerdictSink: Sync {
 }
 
 /// Any `Fn(i, j, verdict, budget)` closure is a sink: it observes each
-/// canonical verdict (the journal hook) and ignores the streaming
+/// canonical verdict (the journal hook) and ignores the eager
 /// [`VerdictSink::on_decided`] hook.
 impl<F: Fn(usize, usize, &SatResult, &SolverBudget) + Sync> VerdictSink for F {
     fn on_verdict(&self, i: usize, j: usize, verdict: &SatResult, budget: &SolverBudget) {
@@ -393,10 +393,9 @@ pub fn crosscheck(
     crosscheck_hooked(a, b, cfg, CheckHooks::default())
 }
 
-/// Streaming extensions layered on the canonical crosscheck pass
-/// structure. Everything here is a latency lever, not a semantics lever:
-/// the verdict slots are merged by pair index and published in pair
-/// order, so the result (and the journal bytes a sink writes) are
+/// Hooks layered on the canonical crosscheck pass. Both are latency
+/// levers, not semantics levers: the verdict slots are merged by pair
+/// index and published in pair order, so the result (and the journal bytes a sink writes) are
 /// identical with or without hooks.
 #[derive(Default)]
 pub struct CheckHooks<'a> {
@@ -404,20 +403,11 @@ pub struct CheckHooks<'a> {
     /// re-solving their pairs (see [`CheckSeeds`]).
     pub seeds: Option<&'a CheckSeeds>,
     /// Per-pass canonical observer (the journal hook) plus the immediate
-    /// [`VerdictSink::on_decided`] streaming hook.
+    /// [`VerdictSink::on_decided`] hook.
     pub sink: Option<&'a dyn VerdictSink>,
-    /// Share a verdict cache with out-of-band solver work: the eager
-    /// scheduler's probes run against the same cache, so a probe that
-    /// already decided a final-refinement query makes the canonical pass
-    /// a cache hit.
-    pub cache: Option<Arc<VerdictCache>>,
-    /// Group-index pairs to solve *first* within the base pass — the
-    /// scheduler passes its known-satisfiable pairs so inconsistencies
-    /// (the pairs distillation will need) decide earliest.
-    pub solve_first: Vec<(usize, usize)>,
 }
 
-/// [`crosscheck`] with journal and streaming hooks — see [`CheckHooks`].
+/// [`crosscheck`] with journal and verdict hooks — see [`CheckHooks`].
 /// `hooks.seeds` short-circuits pairs whose verdicts were recovered from
 /// a journal; `hooks.sink` observes each newly produced verdict (in pair
 /// order, once per solving pass) so the journal can persist it. After
@@ -473,19 +463,11 @@ pub fn crosscheck_hooked(
     // All passes share one budget-aware verdict cache: verdicts decided in
     // the base pass shortcut identical queries on retry rungs, while
     // Unknowns recorded under a smaller budget never suppress a re-solve
-    // under a larger one. A caller-provided cache extends the sharing to
-    // the eager scheduler's out-of-band probes.
-    let cache = hooks.cache.unwrap_or_else(|| Arc::new(VerdictCache::new()));
+    // under a larger one.
+    let cache = Arc::new(VerdictCache::new());
 
-    // Base pass: everything the seeds did not settle. Hinted pairs go
-    // first (stable partition, so pair order survives within each class);
-    // the verdict slots make the solve order invisible in the output.
-    let mut todo: Vec<usize> = (0..pairs.len()).filter(|&k| slots[k].is_none()).collect();
-    if !hooks.solve_first.is_empty() {
-        let first: std::collections::HashSet<(usize, usize)> =
-            hooks.solve_first.iter().copied().collect();
-        todo.sort_by_key(|&k| !first.contains(&(pairs[k].0, pairs[k].1)));
-    }
+    // Base pass: everything the seeds did not settle.
+    let todo: Vec<usize> = (0..pairs.len()).filter(|&k| slots[k].is_none()).collect();
     let stats: Mutex<SolverStats> = Mutex::new(SolverStats::default());
     solve_pass(
         a,
@@ -608,17 +590,10 @@ fn notify_sink(
 /// gates against throwaway per-pair construction): a worker's solver
 /// lives for the whole pass, and with `incremental` it carries a
 /// persistent context so the pairs it claims share bit-blasting, learned
-/// clauses, and recorded UNSAT cores. Callers own the gating rule: pass
-/// `incremental` only when the *governing* budget is unlimited —
-/// solve passes gate on their pass budget, the streaming scheduler on
-/// the session budget (its probe budget is deliberately finite, which is
-/// sound because probes only ever publish Unsat; see
+/// clauses, and recorded UNSAT cores. Callers pass `incremental` only
+/// when the pass budget is unlimited (see
 /// [`CrosscheckConfig::incremental`]).
-pub(crate) fn worker_solver(
-    cache: Arc<VerdictCache>,
-    budget: SolverBudget,
-    incremental: bool,
-) -> Solver {
+fn worker_solver(cache: Arc<VerdictCache>, budget: SolverBudget, incremental: bool) -> Solver {
     let mut solver = Solver::with_cache(cache); // lint-exempt: pass-lifetime worker
     solver.budget = budget;
     if incremental {
@@ -1075,7 +1050,6 @@ mod tests {
             CheckHooks {
                 seeds: Some(&seeds),
                 sink: Some(&resume_sink),
-                ..Default::default()
             },
         );
         assert!(
@@ -1160,8 +1134,8 @@ mod tests {
             ..Default::default()
         };
         let plain = crosscheck(&a, &b, &cfg);
-        // Solve-first hints, a shared external cache, and the immediate
-        // on_decided hook — none of them may perturb the canonical result.
+        // The immediate on_decided hook may not perturb the canonical
+        // result.
         let sink = CountDecided::default();
         let hooked = crosscheck_hooked(
             &a,
@@ -1169,8 +1143,6 @@ mod tests {
             &cfg,
             CheckHooks {
                 sink: Some(&sink),
-                cache: Some(Arc::new(VerdictCache::new())),
-                solve_first: vec![(0, 0)],
                 ..Default::default()
             },
         );
@@ -1184,51 +1156,6 @@ mod tests {
         // Every fresh solve fired the immediate hook: the base-pass
         // Unknown plus each escalation attempt.
         assert!(sink.0.load(Ordering::Relaxed) >= 2);
-    }
-
-    #[test]
-    fn shared_cache_lets_presolved_queries_short_circuit() {
-        // Pre-solve the canonical query out of band through a shared
-        // cache, the way the eager scheduler's final-refinement probe
-        // does, then confirm the canonical pass reproduces the identical
-        // witness (cache hits return the cached model verbatim).
-        let p = Term::var("cc7.p", 8);
-        let a = group_paths(
-            "a",
-            "t",
-            &[path(p.clone().ult(Term::bv_const(8, 100)), out(1))],
-        )
-        .expect("grouping");
-        let b = group_paths(
-            "b",
-            "t",
-            &[path(p.clone().ugt(Term::bv_const(8, 50)), out(2))],
-        )
-        .expect("grouping");
-        let cache = Arc::new(VerdictCache::new());
-        let differ = outputs_differ(&a.groups[0].output, &b.groups[0].output);
-        let mut probe = Solver::with_cache(Arc::clone(&cache));
-        let probed = probe.check(&[
-            a.groups[0].condition.clone(),
-            b.groups[0].condition.clone(),
-            differ,
-        ]);
-        assert!(probed.is_sat());
-        let hooked = crosscheck_hooked(
-            &a,
-            &b,
-            &CrosscheckConfig::default(),
-            CheckHooks {
-                cache: Some(cache),
-                ..Default::default()
-            },
-        );
-        let plain = crosscheck(&a, &b, &CrosscheckConfig::default());
-        assert_eq!(hooked.inconsistencies.len(), 1);
-        assert_eq!(
-            hooked.inconsistencies[0].witness,
-            plain.inconsistencies[0].witness
-        );
     }
 
     #[test]

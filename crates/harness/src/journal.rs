@@ -527,7 +527,7 @@ pub fn check_fingerprint(a_text: &str, b_text: &str, settings: &str) -> String {
     fnv64_hex(&["check", a_text, b_text, settings])
 }
 
-/// Identity of one streaming session: the agent pair, the test list, the
+/// Identity of one `soft run` session: the agent pair, the test list, the
 /// exploration config, and the (opaque) crosscheck and distillation
 /// settings strings. Like [`phase1_fingerprint`], only process-stable
 /// scalars are hashed and worker counts are excluded — resuming at a
@@ -1151,9 +1151,8 @@ impl SessionJournal {
         }
     }
 
-    /// The path sink for one exploration unit; hand it to the explorer
-    /// (possibly teed with a streaming sink). Replayed paths are ignored
-    /// — they are already on record.
+    /// The path sink for one exploration unit; hand it to the explorer.
+    /// Replayed paths are not reported — they are already on record.
     pub fn unit_sink(&self, unit: usize) -> RecordSink<'_> {
         RecordSink {
             journal: self,
@@ -1248,10 +1247,9 @@ impl PathSink<soft_protocol::TraceEvent> for RecordSink<'_> {
 }
 
 /// Explore one (agent, test) unit: seed from the recovered unit state (an
-/// empty recovery explores from scratch), emit every path — fresh or
-/// replayed — through `sink` (typically [`SessionJournal::unit_sink`],
-/// possibly teed with a streaming consumer), validate the replay against
-/// the journal, and summarize. Byte-identical (modulo wall time) to
+/// empty recovery explores from scratch), emit every fresh path through
+/// `sink` (typically [`SessionJournal::unit_sink`]), validate the replay
+/// against the journal, and summarize. Byte-identical (modulo wall time) to
 /// [`crate::run_test`] for the same unit at any worker count, whether
 /// resumed or not.
 pub fn run_unit_durable(

@@ -11,16 +11,18 @@
 //! publish byte-identical artifacts (modulo recorded wall-clock), so no
 //! speedup is ever bought with drift.
 //!
-//! In-process targets at `--jobs 8`: streaming ≥ 1x over phased (the
-//! historical 1.3x gate predated the quadratic JSON string-parse fix
-//! that shipped with the incremental core — phased paid that parse
-//! twice per test, which is where most of its old deficit lived; on a
-//! single-core runner the session's latency overlap buys nothing, so
-//! the honest always-reproducible gate is parity-or-better), and
-//! incremental ≥ 1.15x over the in-process ablation (the ablation still
-//! enjoys the parser fix and the warm verdict cache, so the in-process
-//! ratio understates the solver win — see BENCH_solver.json for the
-//! isolated crosscheck ratio).
+//! In-process targets: streaming ≥ 1x over phased (the historical 1.3x
+//! gate predated the quadratic JSON string-parse fix that shipped with
+//! the incremental core — phased paid that parse twice per test, which
+//! is where most of its old deficit lived; the session's remaining edge
+//! is that it crosschecks once where `check` + `distill` crosscheck
+//! twice, so the honest always-reproducible gate is parity-or-better),
+//! and incremental ≥ 1.15x over the in-process ablation (the ablation
+//! still enjoys the parser fix and the warm verdict cache, so the
+//! in-process ratio understates the solver win — see BENCH_solver.json
+//! for the isolated crosscheck ratio). The output records `nproc`
+//! (`available_parallelism`) beside `jobs`, since both bound what the
+//! worker pools can overlap.
 //!
 //! Cross-version target: the incremental session must be ≥ 3x faster
 //! than the *pre-incremental build's* streaming flow on the same
@@ -352,8 +354,9 @@ fn main() -> ExitCode {
         (Some(b), Some(s)) => (format!("{b:.3}"), format!("{s:.3}")),
         _ => ("null".to_string(), "null".to_string()),
     };
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
-        "{{\n  \"tests\": [{test_list}],\n  \"jobs\": {jobs},\n  \"fuzz\": {fuzz},\n  \"reps\": {reps},\n  \"phased_ms\": {phased_ms:.3},\n  \"streaming_ablation_ms\": {ablation_ms:.3},\n  \"streaming_ms\": {streaming_ms:.3},\n  \"speedup\": {speedup:.3},\n  \"target_speedup\": 1.0,\n  \"incremental_speedup\": {incremental_speedup:.3},\n  \"target_incremental_speedup\": 1.15,\n  \"pre_incremental_streaming_ms\": {pre_ms_json},\n  \"speedup_vs_pre_incremental\": {vs_pre_json},\n  \"target_speedup_vs_pre_incremental\": 3.0,\n  \"within_target\": {within_target},\n  \"artifacts_identical\": true\n}}\n"
+        "{{\n  \"tests\": [{test_list}],\n  \"jobs\": {jobs},\n  \"nproc\": {nproc},\n  \"fuzz\": {fuzz},\n  \"reps\": {reps},\n  \"phased_ms\": {phased_ms:.3},\n  \"streaming_ablation_ms\": {ablation_ms:.3},\n  \"streaming_ms\": {streaming_ms:.3},\n  \"speedup\": {speedup:.3},\n  \"target_speedup\": 1.0,\n  \"incremental_speedup\": {incremental_speedup:.3},\n  \"target_incremental_speedup\": 1.15,\n  \"pre_incremental_streaming_ms\": {pre_ms_json},\n  \"speedup_vs_pre_incremental\": {vs_pre_json},\n  \"target_speedup_vs_pre_incremental\": 3.0,\n  \"within_target\": {within_target},\n  \"artifacts_identical\": true\n}}\n"
     );
     if let Err(e) = atomic_write(Path::new(&out), json.as_bytes(), true) {
         eprintln!("bench_pipeline: cannot write {out}: {e}");

@@ -2,16 +2,16 @@
 //!
 //! `soft run` must publish byte-identical artifacts to the phased
 //! `phase1 + check + distill` sequence — modulo the recorded wall-clock
-//! — for every seed, at any `--jobs`. The streaming pipeline overlaps
-//! exploration, grouping, eager probing, crosscheck, and distillation,
-//! so this is the test that proves none of that scheduling freedom leaks
-//! into the published bytes.
+//! — for every seed, at any `--jobs`. The session explores both agents
+//! concurrently and drafts witnesses while the crosscheck is still
+//! solving, so this is the test that proves none of that scheduling
+//! freedom leaks into the published bytes.
 
 use soft::core::{crosscheck, CrosscheckConfig};
-use soft::harness::{run_test, suite, TestRunFile};
+use soft::harness::{run_test, suite, TestCase, TestRunFile};
 use soft::smt::SolverBudget;
 use soft::sym::ExplorerConfig;
-use soft::witness::{distill, DistillConfig};
+use soft::witness::{distill, Corpus, DistillConfig};
 use soft::{run_session, AgentKind, SessionConfig};
 use std::fs;
 use std::path::PathBuf;
@@ -44,16 +44,15 @@ fn normalize_wall(text: &str) -> String {
 /// agents, serialize + re-parse the wire artifacts (exactly what
 /// `check` consumes), group, crosscheck, distill. Returns the two
 /// artifact texts and the corpus text.
-fn phased(seed: u64, jobs: usize) -> (String, String, String) {
-    let test = suite::queue_config();
+fn phased(test: &TestCase, seed: u64, jobs: usize) -> (String, String, String) {
     let explorer = ExplorerConfig {
         solver_budget: SolverBudget::unlimited(),
         workers: jobs,
         seed,
         ..ExplorerConfig::default()
     };
-    let run_a = run_test(AgentKind::Reference, &test, &explorer);
-    let run_b = run_test(AgentKind::OpenVSwitch, &test, &explorer);
+    let run_a = run_test(AgentKind::Reference, test, &explorer);
+    let run_b = run_test(AgentKind::OpenVSwitch, test, &explorer);
     let text_a = TestRunFile::from_run(&run_a).to_json();
     let text_b = TestRunFile::from_run(&run_b).to_json();
     let soft = soft::Soft::new();
@@ -71,7 +70,7 @@ fn phased(seed: u64, jobs: usize) -> (String, String, String) {
     };
     let result = crosscheck(&ga, &gb, &check);
     let report = distill(
-        &test,
+        test,
         &result,
         &ga,
         &gb,
@@ -89,19 +88,33 @@ fn phased(seed: u64, jobs: usize) -> (String, String, String) {
 /// One `soft run` session over the same test; returns the published
 /// artifact bytes read back from disk.
 fn streaming(tag: &str, seed: u64, jobs: usize, incremental: bool) -> (String, String, String) {
+    session(tag, suite::queue_config(), seed, jobs, incremental, false)
+}
+
+/// One session over `test`, optionally journaled (`<out>session.wal`,
+/// as `soft run` writes by default).
+fn session(
+    tag: &str,
+    test: TestCase,
+    seed: u64,
+    jobs: usize,
+    incremental: bool,
+    journal: bool,
+) -> (String, String, String) {
     let dir = temp_dir(tag);
     let prefix = format!("{}/", dir.display());
+    let id = test.id;
     let cfg = SessionConfig {
         agent_a: AgentKind::Reference.into(),
         agent_b: AgentKind::OpenVSwitch.into(),
-        tests: vec![suite::queue_config()],
+        tests: vec![test],
         jobs,
         seed,
         solver_budget: SolverBudget::unlimited(),
         retry_rungs: RETRY_RUNGS,
         fuzz_tries: FUZZ_TRIES,
         out_prefix: prefix.clone(),
-        journal: None,
+        journal: journal.then(|| dir.join("session.wal")),
         resume: false,
         fsync: false,
         incremental,
@@ -109,12 +122,10 @@ fn streaming(tag: &str, seed: u64, jobs: usize, incremental: bool) -> (String, S
     };
     let report = run_session(&cfg).expect("session");
     assert_eq!(report.outcomes.len(), 1);
-    let text_a = fs::read_to_string(format!("{prefix}reference_queue_config.json"))
-        .expect("read artifact A");
-    let text_b =
-        fs::read_to_string(format!("{prefix}ovs_queue_config.json")).expect("read artifact B");
-    let corpus =
-        fs::read_to_string(format!("{prefix}corpus_queue_config.json")).expect("read corpus");
+    let text_a =
+        fs::read_to_string(format!("{prefix}reference_{id}.json")).expect("read artifact A");
+    let text_b = fs::read_to_string(format!("{prefix}ovs_{id}.json")).expect("read artifact B");
+    let corpus = fs::read_to_string(format!("{prefix}corpus_{id}.json")).expect("read corpus");
     let _ = fs::remove_dir_all(&dir);
     (text_a, text_b, corpus)
 }
@@ -126,7 +137,7 @@ fn streaming(tag: &str, seed: u64, jobs: usize, incremental: bool) -> (String, S
 #[test]
 fn streaming_matches_phased_for_every_seed_and_jobs() {
     for (s, &seed) in [0x50F7u64, 7].iter().enumerate() {
-        let (ref_a, ref_b, ref_corpus) = phased(seed, 2);
+        let (ref_a, ref_b, ref_corpus) = phased(&suite::queue_config(), seed, 2);
         let (norm_a, norm_b) = (normalize_wall(&ref_a), normalize_wall(&ref_b));
         for jobs in [1usize, 8] {
             let tag = format!("s{s}_j{jobs}");
@@ -147,6 +158,33 @@ fn streaming_matches_phased_for_every_seed_and_jobs() {
             );
         }
     }
+}
+
+/// The benchmark's setting on the test with the most Sat pairs:
+/// `packet_out` (92 confirmed witnesses) at `--jobs 2`, journal on. Many
+/// pairs decide Sat concurrently here, each starting an eager witness
+/// draft, so this is where solve order could leak into the corpus.
+#[test]
+fn streaming_matches_phased_on_packet_out_at_jobs_2() {
+    let seed = 0x50F7u64;
+    let (ref_a, ref_b, ref_corpus) = phased(&suite::packet_out(), seed, 2);
+    let (got_a, got_b, got_corpus) = session("po_j2", suite::packet_out(), seed, 2, true, true);
+    assert_eq!(
+        normalize_wall(&got_a),
+        normalize_wall(&ref_a),
+        "packet_out artifact A diverged"
+    );
+    assert_eq!(
+        normalize_wall(&got_b),
+        normalize_wall(&ref_b),
+        "packet_out artifact B diverged"
+    );
+    assert_eq!(got_corpus, ref_corpus, "packet_out corpus diverged");
+    let corpus = Corpus::from_json_str(&ref_corpus).expect("parse corpus");
+    assert!(
+        !corpus.confirmed().is_empty(),
+        "packet_out must yield confirmed witnesses"
+    );
 }
 
 /// The incremental-solver equivalence gate: the persistent per-test

@@ -282,12 +282,23 @@ if [ "$run_rc" -ne 0 ] && [ "$run_rc" -ne 2 ]; then
     exit 1
 fi
 CON_CORPUS="$WORK/conform_corpus_queue_config.json"
+# count_sockets <pid>: set SOCKETS to the number of sockets the process
+# holds open. Shell builtins only (`[ -S ]` follows the /proc fd link to
+# the socket inode), so one poll takes microseconds, not a fork.
+count_sockets() {
+    SOCKETS=0
+    local f
+    for f in /proc/"$1"/fd/*; do
+        [ -S "$f" ] && SOCKETS=$((SOCKETS + 1))
+    done
+}
 conform_degraded=0
 round=0
 while [ "$round" -lt 40 ]; do
-    # Grow the kill delay each round: early rounds kill the DUT before
-    # or during the first replay, later ones mid-corpus.
-    delay_ms=$((round * 5))
+    # The kill follows replay progress, not a fixed delay: the DUT is
+    # SIGKILLed as soon as it holds an accepted connection, i.e. one
+    # socket beyond its listener. A whole queue_config replay takes a
+    # few milliseconds, so any fixed delay races it.
     # Subshell + pid file so the async "Killed" notice for the DUT stays
     # out of the script's stderr (same pattern as the serve section).
     ("$SOFT" conform-dut --agent ovs >"$WORK/dut.out" 2>&1 &
@@ -304,12 +315,22 @@ while [ "$round" -lt 40 ]; do
         kill -9 "$DUT_PID" 2>/dev/null
         exit 1
     fi
+    count_sockets "$DUT_PID"
+    listeners=$SOCKETS
     "$SOFT" conform "$CON_CORPUS" --addr "$addr" \
         --retries 2 --op-timeout-ms 400 --json "$WORK/conform_kill.json" \
         >"$WORK/conform_kill.out" 2>"$WORK/conform_kill.err" &
     CONF_PID=$!
-    (sleep "$(awk "BEGIN{printf \"%.3f\", $delay_ms/1000}")"
-     kill -KILL "$DUT_PID" 2>/dev/null) 2>/dev/null
+    while kill -0 "$CONF_PID" 2>/dev/null; do
+        count_sockets "$DUT_PID"
+        if [ "$SOCKETS" -gt "$listeners" ]; then
+            kill -KILL "$DUT_PID" 2>/dev/null
+            break
+        fi
+    done
+    # If the replay finished before the DUT was seen connected, the DUT
+    # is still up; stop it so the round ends cleanly.
+    kill -KILL "$DUT_PID" 2>/dev/null
     wait "$CONF_PID" 2>/dev/null
     conf_rc=$?
     wait "$DUT_PID" 2>/dev/null
@@ -322,7 +343,7 @@ while [ "$round" -lt 40 ]; do
     fi
     # 3 = flaky, 5 = unreachable: the kill landed mid-replay and the
     # run degraded explicitly. 0/2 means the replay outran the kill —
-    # legitimate, try a longer delay. Anything else is a bug.
+    # legitimate, try another round. Anything else is a bug.
     if [ "$conf_rc" -eq 3 ] || [ "$conf_rc" -eq 5 ]; then
         if ! grep -Eq '"(flaky|unreachable)":[1-9]' "$WORK/conform_kill.json"; then
             echo "crash_resume: conform exit $conf_rc but no degraded verdict in report"
