@@ -289,35 +289,6 @@ impl Default for CrosscheckConfig {
     }
 }
 
-/// Observer notified once per decided-or-exhausted verdict, in pair
-/// order, as each solving pass completes — the write-ahead hook the
-/// crosscheck journal plugs into. Implementations must be `Sync`.
-pub trait VerdictSink: Sync {
-    /// One pair's final verdict for this pass. `i`/`j` are group indices
-    /// into the two result sets; `budget` is the budget the verdict was
-    /// produced under.
-    fn on_verdict(&self, i: usize, j: usize, verdict: &SatResult, budget: &SolverBudget);
-
-    /// Called once per *freshly solved* verdict the moment it is
-    /// produced, from whichever worker thread solved it — delivery order
-    /// is scheduling-dependent, unlike [`VerdictSink::on_verdict`]'s
-    /// canonical pair order. This is the eager-distillation hook: witness
-    /// drafting starts here instead of waiting for the pass barrier.
-    /// Seeded (journal-recovered) verdicts are not re-delivered, and a
-    /// worker lost mid-query degrades its slot to Unknown without a call.
-    /// Default: no-op.
-    fn on_decided(&self, _i: usize, _j: usize, _verdict: &SatResult, _budget: &SolverBudget) {}
-}
-
-/// Any `Fn(i, j, verdict, budget)` closure is a sink: it observes each
-/// canonical verdict (the journal hook) and ignores the eager
-/// [`VerdictSink::on_decided`] hook.
-impl<F: Fn(usize, usize, &SatResult, &SolverBudget) + Sync> VerdictSink for F {
-    fn on_verdict(&self, i: usize, j: usize, verdict: &SatResult, budget: &SolverBudget) {
-        self(i, j, verdict, budget)
-    }
-}
-
 /// Verdicts recovered from a crosscheck journal, keyed by group-index
 /// pair. Seeded verdicts short-circuit re-solving on resume: decided
 /// verdicts are final, and an Unknown is reusable only for budgets the
@@ -393,19 +364,25 @@ pub fn crosscheck(
     crosscheck_hooked(a, b, cfg, CheckHooks::default())
 }
 
-/// Hooks layered on the canonical crosscheck pass. Both are latency
-/// levers, not semantics levers: the verdict slots are merged by pair
-/// index and published in pair order, so the result (and the journal bytes a sink writes) are
-/// identical with or without hooks.
+/// Hooks layered on the canonical crosscheck pass. Neither is a
+/// semantics lever: the verdict slots are merged by pair index and
+/// published in pair order, so the result (and the journal bytes a sink
+/// writes) are identical with or without hooks.
 #[derive(Default)]
 pub struct CheckHooks<'a> {
     /// Verdicts recovered from a crosscheck journal: they short-circuit
     /// re-solving their pairs (see [`CheckSeeds`]).
     pub seeds: Option<&'a CheckSeeds>,
-    /// Per-pass canonical observer (the journal hook) plus the immediate
-    /// [`VerdictSink::on_decided`] hook.
-    pub sink: Option<&'a dyn VerdictSink>,
+    /// Per-pass canonical observer (the journal hook): called with
+    /// `(i, j, verdict, budget)` for each newly produced verdict, in pair
+    /// order once per solving pass. `i`/`j` are group indices into the
+    /// two result sets; `budget` is the budget the verdict was produced
+    /// under.
+    pub sink: Option<&'a SinkFn<'a>>,
 }
+
+/// The verdict observer [`CheckHooks::sink`] holds: `(i, j, verdict, budget)`.
+type SinkFn<'a> = dyn Fn(usize, usize, &SatResult, &SolverBudget) + Sync + 'a;
 
 /// [`crosscheck`] with journal and verdict hooks — see [`CheckHooks`].
 /// `hooks.seeds` short-circuits pairs whose verdicts were recovered from
@@ -478,7 +455,6 @@ pub fn crosscheck_hooked(
         cfg.solver_budget,
         cfg,
         &cache,
-        sink,
         &stats,
     );
     notify_sink(sink, &pairs, &slots, &todo);
@@ -513,9 +489,7 @@ pub fn crosscheck_hooked(
             if todo.is_empty() {
                 break;
             }
-            solve_pass(
-                a, b, &pairs, &mut slots, &todo, budget, cfg, &cache, sink, &stats,
-            );
+            solve_pass(a, b, &pairs, &mut slots, &todo, budget, cfg, &cache, &stats);
             notify_sink(sink, &pairs, &slots, &todo);
             last_budget = budget;
         }
@@ -570,7 +544,7 @@ pub fn crosscheck_hooked(
 /// Report the verdicts a pass just produced, in pair order, so the
 /// journal bytes are deterministic for every job count.
 fn notify_sink(
-    sink: Option<&dyn VerdictSink>,
+    sink: Option<&SinkFn<'_>>,
     pairs: &[(usize, usize, Term)],
     slots: &[Option<(SatResult, SolverBudget)>],
     solved: &[usize],
@@ -579,7 +553,7 @@ fn notify_sink(
         for &k in solved {
             let (i, j, _) = &pairs[k];
             if let Some((verdict, budget)) = &slots[k] {
-                s.on_verdict(*i, *j, verdict, budget);
+                s(*i, *j, verdict, budget);
             }
         }
     }
@@ -589,8 +563,8 @@ fn notify_sink(
 /// place crosscheck builds a [`Solver`] (`tools/lint_fresh_solver.sh`
 /// gates against throwaway per-pair construction): a worker's solver
 /// lives for the whole pass, and with `incremental` it carries a
-/// persistent context so the pairs it claims share bit-blasting, learned
-/// clauses, and recorded UNSAT cores. Callers pass `incremental` only
+/// persistent context so the pairs it claims share bit-blasting and
+/// learned clauses. Callers pass `incremental` only
 /// when the pass budget is unlimited (see
 /// [`CrosscheckConfig::incremental`]).
 fn worker_solver(cache: Arc<VerdictCache>, budget: SolverBudget, incremental: bool) -> Solver {
@@ -617,7 +591,6 @@ fn solve_pass(
     budget: SolverBudget,
     cfg: &CrosscheckConfig,
     cache: &Arc<VerdictCache>,
-    sink: Option<&dyn VerdictSink>,
     stats: &Mutex<SolverStats>,
 ) {
     if todo.is_empty() {
@@ -625,15 +598,11 @@ fn solve_pass(
     }
     let query = |solver: &mut Solver, k: usize| {
         let (i, j, differ) = &pairs[k];
-        let v = solver.check(&[
+        solver.check(&[
             a.groups[*i].condition.clone(),
             b.groups[*j].condition.clone(),
             differ.clone(),
-        ]);
-        if let Some(s) = sink {
-            s.on_decided(*i, *j, &v, &budget);
-        }
-        v
+        ])
     };
     let jobs = cfg.jobs;
     if jobs <= 1 {
@@ -1005,13 +974,11 @@ mod tests {
         assert_eq!(r.resolved_on_retry, 0, "nothing to escalate from unlimited");
     }
 
-    #[derive(Default)]
-    struct CollectVerdicts(Mutex<Vec<(usize, usize, SatResult, SolverBudget)>>);
+    type Journaled = Mutex<Vec<(usize, usize, SatResult, SolverBudget)>>;
 
-    impl VerdictSink for CollectVerdicts {
-        fn on_verdict(&self, i: usize, j: usize, verdict: &SatResult, budget: &SolverBudget) {
-            recover(&self.0).push((i, j, verdict.clone(), *budget));
-        }
+    /// A sink that collects every verdict it is handed.
+    fn collect(into: &Journaled) -> impl Fn(usize, usize, &SatResult, &SolverBudget) + Sync + '_ {
+        move |i, j, v, b| recover(into).push((i, j, v.clone(), *b))
     }
 
     #[test]
@@ -1022,17 +989,17 @@ mod tests {
             retry_rungs: 10,
             ..Default::default()
         };
-        let sink = CollectVerdicts::default();
+        let journal = Journaled::default();
         let first = crosscheck_hooked(
             &a,
             &b,
             &cfg,
             CheckHooks {
-                sink: Some(&sink),
+                sink: Some(&collect(&journal)),
                 ..Default::default()
             },
         );
-        let journaled = sink.0.into_inner().unwrap_or_else(|e| e.into_inner());
+        let journaled = journal.into_inner().unwrap_or_else(|e| e.into_inner());
         assert!(
             journaled.len() >= 2,
             "the hard pair must be journaled once per attempt (Unknown then decided)"
@@ -1042,19 +1009,18 @@ mod tests {
         for (i, j, v, bud) in &journaled {
             seeds.insert(*i, *j, v.clone(), *bud);
         }
-        let resume_sink = CollectVerdicts::default();
+        let resume_journal = Journaled::default();
         let resumed = crosscheck_hooked(
             &a,
             &b,
             &cfg,
             CheckHooks {
                 seeds: Some(&seeds),
-                sink: Some(&resume_sink),
+                sink: Some(&collect(&resume_journal)),
             },
         );
         assert!(
-            resume_sink
-                .0
+            resume_journal
                 .into_inner()
                 .unwrap_or_else(|e| e.into_inner())
                 .is_empty(),
@@ -1115,16 +1081,6 @@ mod tests {
         assert!(!s.is_empty());
     }
 
-    #[derive(Default)]
-    struct CountDecided(std::sync::atomic::AtomicUsize);
-
-    impl VerdictSink for CountDecided {
-        fn on_verdict(&self, _: usize, _: usize, _: &SatResult, _: &SolverBudget) {}
-        fn on_decided(&self, _: usize, _: usize, _: &SatResult, _: &SolverBudget) {
-            self.0.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     #[test]
     fn hooks_do_not_change_results() {
         let (a, b) = hard_pair();
@@ -1134,28 +1090,45 @@ mod tests {
             ..Default::default()
         };
         let plain = crosscheck(&a, &b, &cfg);
-        // The immediate on_decided hook may not perturb the canonical
+        // A sink observing the pass, and seeds pre-deciding the one pair
+        // with its own recorded verdict, may not perturb the canonical
         // result.
-        let sink = CountDecided::default();
+        let journal = Journaled::default();
         let hooked = crosscheck_hooked(
             &a,
             &b,
             &cfg,
             CheckHooks {
-                sink: Some(&sink),
+                sink: Some(&collect(&journal)),
                 ..Default::default()
             },
         );
-        assert_eq!(hooked.queries, plain.queries);
-        assert_eq!(hooked.unknown, plain.unknown);
-        assert_eq!(hooked.resolved_on_retry, plain.resolved_on_retry);
-        assert_eq!(hooked.inconsistencies.len(), plain.inconsistencies.len());
-        for (x, y) in plain.inconsistencies.iter().zip(&hooked.inconsistencies) {
-            assert_eq!(x.witness, y.witness);
+        let journaled = journal.into_inner().unwrap_or_else(|e| e.into_inner());
+        // Every fresh solve reached the sink: the base-pass Unknown plus
+        // each escalation attempt.
+        assert!(journaled.len() >= 2);
+        let mut seeds = CheckSeeds::new();
+        for (i, j, v, bud) in &journaled {
+            seeds.insert(*i, *j, v.clone(), *bud);
         }
-        // Every fresh solve fired the immediate hook: the base-pass
-        // Unknown plus each escalation attempt.
-        assert!(sink.0.load(Ordering::Relaxed) >= 2);
+        let seeded = crosscheck_hooked(
+            &a,
+            &b,
+            &cfg,
+            CheckHooks {
+                seeds: Some(&seeds),
+                sink: Some(&|_, _, _, _| panic!("seeded pairs owe no solver work")),
+            },
+        );
+        for r in [&hooked, &seeded] {
+            assert_eq!(r.queries, plain.queries);
+            assert_eq!(r.unknown, plain.unknown);
+            assert_eq!(r.resolved_on_retry, plain.resolved_on_retry);
+            assert_eq!(r.inconsistencies.len(), plain.inconsistencies.len());
+            for (x, y) in plain.inconsistencies.iter().zip(&r.inconsistencies) {
+                assert_eq!(x.witness, y.witness);
+            }
+        }
     }
 
     #[test]

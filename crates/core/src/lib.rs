@@ -51,7 +51,7 @@ mod soft;
 
 pub use crosscheck::{
     crosscheck, crosscheck_hooked, CheckHooks, CheckSeeds, CrosscheckConfig, CrosscheckResult,
-    Inconsistency, UnverifiedPair, VerdictSink,
+    Inconsistency, UnverifiedPair,
 };
 pub use group::{
     group_paths, group_paths_with, GroupError, GroupedResults, OutputGroup, TreeShape,

@@ -21,13 +21,6 @@
 //!   queries — sound because activation guards make every added clause a
 //!   logical consequence of the *union* of all encoded assertions, never
 //!   of any particular query's subset.
-//! - When a probe is Unsat the solver's final-conflict analysis yields
-//!   an **UNSAT core** over the assumptions. The core is recorded, and
-//!   any later probe whose assumption set contains a recorded core is
-//!   refuted without search ([`IncrementalSolver::core_prunes`]). A core
-//!   that avoids both pair-specific activation literals refutes every
-//!   pair sharing the remaining conditions — whole families of pairs
-//!   collapse into one recorded core.
 //!
 //! Probes are **advisory accelerators**, not a replacement verdict path:
 //! only Unsat — a value-deterministic answer — is published by the
@@ -46,49 +39,23 @@ use std::time::Instant;
 #[cfg(doc)]
 use crate::sat::SatSolver;
 
-/// True if every literal of `core` appears in `set`; both slices must be
-/// sorted ascending by raw literal code.
-fn is_subset(core: &[Lit], set: &[Lit]) -> bool {
-    let mut set = set.iter();
-    'outer: for c in core {
-        for s in set.by_ref() {
-            if s == c {
-                continue 'outer;
-            }
-            if s.0 > c.0 {
-                return false;
-            }
-        }
-        return false;
-    }
-    true
-}
-
 /// A long-lived SAT context answering assertion-set queries as
 /// assumption probes over activation literals (see the module docs).
 ///
 /// One instance per (test, worker): all queries routed through it must
 /// draw from the same test's assertion universe so the shared encoding
-/// and recorded cores stay relevant (and small).
+/// stays relevant (and small).
 pub struct IncrementalSolver {
     /// The persistent encoding + CDCL instance.
     bb: BitBlaster,
     /// Activation literal per encoded assertion, keyed by the term's
     /// hash-consed DAG node id (ids are unique for the process lifetime).
     acts: HashMap<u64, Lit>,
-    /// Recorded UNSAT cores (each sorted ascending by literal code). Any
-    /// probe whose assumption set contains one of these is Unsat without
-    /// search. An empty core means the base encoding itself is unsat, so
-    /// every probe is.
-    refuted: Vec<Vec<Lit>>,
     /// Bound on `acts` (encoded assertions — and with them the CNF,
     /// learned clauses, and variable store). Crossing it resets the
     /// whole context (see [`Self::set_limits`]).
     max_encoded: usize,
-    /// Bound on `refuted`; crossing it drops the oldest half.
-    max_cores: usize,
-    /// Entries (encoded assertions + recorded cores) dropped by the
-    /// bounds above.
+    /// Encoded assertions dropped by the bound above.
     evictions: u64,
     /// SAT counters retired by context resets, folded into
     /// [`Self::sat_counters`] so callers' around-probe deltas never go
@@ -98,7 +65,6 @@ pub struct IncrementalSolver {
     retired_cnf_hits: u64,
     probes: u64,
     probe_unsat: u64,
-    core_prunes: u64,
     bitblast_ns: u64,
     search_ns: u64,
 }
@@ -108,9 +74,6 @@ pub struct IncrementalSolver {
 /// reused across many jobs in a long-lived process cannot grow without
 /// limit.
 pub const DEFAULT_MAX_ENCODED: usize = 1 << 16;
-
-/// Default bound on recorded UNSAT cores per context.
-pub const DEFAULT_MAX_CORES: usize = 1 << 12;
 
 impl Default for IncrementalSolver {
     fn default() -> Self {
@@ -123,9 +86,7 @@ impl fmt::Debug for IncrementalSolver {
         f.debug_struct("IncrementalSolver")
             .field("probes", &self.probes)
             .field("probe_unsat", &self.probe_unsat)
-            .field("core_prunes", &self.core_prunes)
             .field("encoded_terms", &self.acts.len())
-            .field("recorded_cores", &self.refuted.len())
             .field("learned_retained", &self.bb.sat.num_learned())
             .finish_non_exhaustive()
     }
@@ -137,43 +98,37 @@ impl IncrementalSolver {
         IncrementalSolver {
             bb: BitBlaster::new(),
             acts: HashMap::new(),
-            refuted: Vec::new(),
             max_encoded: DEFAULT_MAX_ENCODED,
-            max_cores: DEFAULT_MAX_CORES,
             evictions: 0,
             retired: (0, 0, 0),
             retired_cnf_hits: 0,
             probes: 0,
             probe_unsat: 0,
-            core_prunes: 0,
             bitblast_ns: 0,
             search_ns: 0,
         }
     }
 
-    /// Override the context's size bounds (both clamped to at least 1).
+    /// Override the context's size bound (clamped to at least 1).
     ///
-    /// Crossing `max_encoded` drops the whole context — encoding, learned
-    /// clauses, and recorded cores — at the next probe; everything it
-    /// held is advisory, so verdicts are unaffected, only re-derived.
-    /// Crossing `max_cores` drops the oldest half of the recorded cores.
-    pub fn set_limits(&mut self, max_encoded: usize, max_cores: usize) {
+    /// Crossing `max_encoded` drops the whole context — encoding and
+    /// learned clauses — at the next probe; everything it held is
+    /// advisory, so verdicts are unaffected, only re-derived.
+    pub fn set_max_encoded(&mut self, max_encoded: usize) {
         self.max_encoded = max_encoded.max(1);
-        self.max_cores = max_cores.max(1);
     }
 
     /// Retire the current encoding wholesale: counters the facade reads
     /// as cumulative move into `retired`, everything else is rebuilt
     /// from scratch on demand.
     fn reset_context(&mut self) {
-        self.evictions += (self.acts.len() + self.refuted.len()) as u64;
+        self.evictions += self.acts.len() as u64;
         self.retired.0 += self.bb.sat.conflicts;
         self.retired.1 += self.bb.sat.decisions;
         self.retired.2 += self.bb.sat.propagations;
         self.retired_cnf_hits += self.bb.cache_hits;
         self.bb = BitBlaster::new();
         self.acts.clear();
-        self.refuted.clear();
     }
 
     /// The activation literal guarding `t`'s encoding, encoding the term
@@ -211,15 +166,6 @@ impl IncrementalSolver {
         self.bitblast_ns += t0.elapsed().as_nanos() as u64;
         assumptions.sort_unstable_by_key(|l| l.0);
         assumptions.dedup();
-        if self
-            .refuted
-            .iter()
-            .any(|core| is_subset(core, &assumptions))
-        {
-            self.core_prunes += 1;
-            self.probe_unsat += 1;
-            return SatOutcome::Unsat;
-        }
         self.bb.sat.max_conflicts = budget.max_conflicts;
         self.bb.sat.max_propagations = budget.max_propagations;
         self.bb.sat.deadline = budget.time_limit.map(|d| Instant::now() + d);
@@ -228,38 +174,18 @@ impl IncrementalSolver {
         self.search_ns += t1.elapsed().as_nanos() as u64;
         if matches!(out, SatOutcome::Unsat) {
             self.probe_unsat += 1;
-            let mut core: Vec<Lit> = self.bb.sat.last_core().to_vec();
-            core.sort_unstable_by_key(|l| l.0);
-            core.dedup();
-            // Keep only non-subsumed cores: a core already implied by a
-            // recorded subset adds no pruning power.
-            if !self.refuted.iter().any(|c| is_subset(c, &core)) {
-                self.refuted.push(core);
-            }
-            if self.refuted.len() > self.max_cores {
-                // Cores are advisory prune records; dropping the oldest
-                // half costs pruning power, never correctness.
-                let dropped = self.refuted.len() - self.max_cores / 2;
-                self.refuted.drain(..dropped);
-                self.evictions += dropped as u64;
-            }
         }
         out
     }
 
-    /// Assumption probes issued (including core-pruned ones).
+    /// Assumption probes issued.
     pub fn probes(&self) -> u64 {
         self.probes
     }
 
-    /// Probes answered Unsat (search or core prune).
+    /// Probes answered Unsat.
     pub fn probe_unsat(&self) -> u64 {
         self.probe_unsat
-    }
-
-    /// Probes refuted by a recorded UNSAT core without any search.
-    pub fn core_prunes(&self) -> u64 {
-        self.core_prunes
     }
 
     /// Learned clauses currently retained across queries.
@@ -273,8 +199,7 @@ impl IncrementalSolver {
         self.retired_cnf_hits + self.bb.cache_hits
     }
 
-    /// Entries (encoded assertions + recorded cores) dropped by the
-    /// context's size bounds.
+    /// Encoded assertions dropped by the context's size bound.
     pub fn evictions(&self) -> u64 {
         self.evictions
     }
@@ -282,11 +207,6 @@ impl IncrementalSolver {
     /// Assertions currently encoded behind activation literals.
     pub fn encoded_terms(&self) -> usize {
         self.acts.len()
-    }
-
-    /// UNSAT cores currently recorded.
-    pub fn recorded_cores(&self) -> usize {
-        self.refuted.len()
     }
 
     /// Cumulative `(conflicts, decisions, propagations)` of the
@@ -345,31 +265,6 @@ mod tests {
     }
 
     #[test]
-    fn recorded_core_prunes_supersets_without_search() {
-        let p = port();
-        let low = p.clone().ult(Term::bv_const(16, 10));
-        let high = p.clone().ugt(Term::bv_const(16, 20));
-        // Unrelated third condition on a different variable.
-        let other = Term::var("inc.other", 8).eq(Term::bv_const(8, 1));
-        let mut inc = IncrementalSolver::new();
-        let b = SolverBudget::unlimited();
-        assert!(matches!(
-            inc.probe(&[low.clone(), high.clone()], &b),
-            SatOutcome::Unsat
-        ));
-        assert_eq!(inc.core_prunes(), 0);
-        // {low, high} is the recorded core; any superset is refuted
-        // without touching the SAT instance.
-        let before = inc.sat_counters();
-        assert!(matches!(
-            inc.probe(&[low, high, other], &b),
-            SatOutcome::Unsat
-        ));
-        assert_eq!(inc.core_prunes(), 1);
-        assert_eq!(inc.sat_counters(), before, "prune must not search");
-    }
-
-    #[test]
     fn shared_subterms_hit_the_cnf_cache() {
         let p = port();
         // Both conditions share the subterm `p + 1`.
@@ -421,7 +316,7 @@ mod tests {
         let low = p.clone().ult(Term::bv_const(16, 10));
         let high = p.clone().ugt(Term::bv_const(16, 20));
         let mut inc = IncrementalSolver::new();
-        inc.set_limits(8, 4);
+        inc.set_max_encoded(8);
         let b = SolverBudget::unlimited();
         // Sustained distinct-term traffic far past the bound: the
         // encoding store stays capped and evictions are counted.
@@ -442,42 +337,5 @@ mod tests {
         assert!(matches!(inc.probe(&[t], &b), SatOutcome::Sat));
         let after = inc.sat_counters();
         assert!(after.0 >= before.0 && after.1 >= before.1 && after.2 >= before.2);
-    }
-
-    #[test]
-    fn core_store_is_bounded() {
-        let mut inc = IncrementalSolver::new();
-        inc.set_limits(1 << 16, 4);
-        let b = SolverBudget::unlimited();
-        // Distinct contradictions, each recording a distinct core.
-        for i in 0..32u64 {
-            let x = Term::var(format!("inc.core{i}"), 8);
-            let a = x.clone().ult(Term::bv_const(8, 3));
-            let c = x.ugt(Term::bv_const(8, 9));
-            assert!(matches!(inc.probe(&[a, c], &b), SatOutcome::Unsat));
-            assert!(
-                inc.recorded_cores() <= 4,
-                "core store exceeded its bound: {}",
-                inc.recorded_cores()
-            );
-        }
-        assert!(inc.evictions() > 0);
-        // A contradiction whose core was dropped is still refuted — by
-        // search instead of a prune.
-        let x = Term::var("inc.core0", 8);
-        let a = x.clone().ult(Term::bv_const(8, 3));
-        let c = x.ugt(Term::bv_const(8, 9));
-        assert!(matches!(inc.probe(&[a, c], &b), SatOutcome::Unsat));
-    }
-
-    #[test]
-    fn subset_check_is_exact() {
-        let l = |v: u32| Lit::pos(v);
-        assert!(is_subset(&[], &[l(1), l(2)]));
-        assert!(is_subset(&[l(2)], &[l(1), l(2), l(3)]));
-        assert!(is_subset(&[l(1), l(3)], &[l(1), l(2), l(3)]));
-        assert!(!is_subset(&[l(4)], &[l(1), l(2), l(3)]));
-        assert!(!is_subset(&[l(1), l(2)], &[l(2)]));
-        assert!(!is_subset(&[l(0)], &[]));
     }
 }

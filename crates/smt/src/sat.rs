@@ -204,11 +204,6 @@ pub struct SatSolver {
     /// level 0 after every query — the incremental interface adds clauses
     /// and re-solves on the same instance — without losing the witness.
     model: Vec<bool>,
-    /// UNSAT core of the last `solve_under_assumptions` call that returned
-    /// `Unsat`: the subset of the assumption literals that is jointly
-    /// inconsistent with the clause set. Empty when the clause set itself
-    /// is unsatisfiable (every assumption set fails).
-    core: Vec<Lit>,
     /// Conflicts encountered so far (cumulative across queries).
     pub conflicts: u64,
     /// Decisions made so far (cumulative across queries).
@@ -253,7 +248,6 @@ impl SatSolver {
             saved_phase: Vec::new(),
             unsat: false,
             model: Vec::new(),
-            core: Vec::new(),
             conflicts: 0,
             decisions: 0,
             propagations: 0,
@@ -577,14 +571,10 @@ impl SatSolver {
     /// The clause set is untouched by the outcome: an `Unsat` here means
     /// "unsatisfiable *under these assumptions*" and leaves the instance
     /// usable for further queries — learned clauses, variable activities,
-    /// and saved phases all carry over. After such an `Unsat`,
-    /// [`SatSolver::last_core`] holds the subset of the assumptions the
-    /// final-conflict analysis found jointly inconsistent. The solver
-    /// backtracks to level 0 before returning, so clauses may be added
-    /// between queries; after `Sat` the witness is read through
-    /// [`SatSolver::model_value`].
+    /// and saved phases all carry over. The solver backtracks to level 0
+    /// before returning, so clauses may be added between queries; after
+    /// `Sat` the witness is read through [`SatSolver::model_value`].
     pub fn solve_under_assumptions(&mut self, assumptions: &[Lit]) -> SatOutcome {
-        self.core.clear();
         self.query_conflicts_base = self.conflicts;
         self.query_propagations_base = self.propagations;
         if self.unsat {
@@ -653,10 +643,7 @@ impl SatSolver {
                         // Already implied: open an empty pseudo-level so the
                         // level count keeps tracking the assumption index.
                         LBool::True => self.trail_lim.push(self.trail.len()),
-                        LBool::False => {
-                            self.core = self.analyze_final(p);
-                            return SatOutcome::Unsat;
-                        }
+                        LBool::False => return SatOutcome::Unsat,
                         LBool::Undef => {
                             next = Some(p);
                             break;
@@ -673,50 +660,6 @@ impl SatSolver {
                 }
             }
         }
-    }
-
-    /// Final-conflict analysis (MiniSat's `analyzeFinal`): called when
-    /// assumption `p` is falsified while being planted. Walks the
-    /// implication graph back from `!p` and collects the pseudo-decisions
-    /// — i.e. earlier assumptions — it rests on. The returned core is a
-    /// subset of the assumption set containing `p`; its conjunction is
-    /// inconsistent with the clause set.
-    fn analyze_final(&self, p: Lit) -> Vec<Lit> {
-        let mut core = vec![p];
-        if self.trail_lim.is_empty() {
-            return core;
-        }
-        let mut seen = vec![false; self.assign.len()];
-        seen[p.var() as usize] = true;
-        for i in (self.trail_lim[0]..self.trail.len()).rev() {
-            let l = self.trail[i];
-            let v = l.var() as usize;
-            if !seen[v] {
-                continue;
-            }
-            let r = self.reason[v];
-            if r == CLAUSE_NONE {
-                // A pseudo-decision: every decision on the trail at this
-                // point is a planted assumption.
-                debug_assert!(self.level[v] > 0);
-                core.push(l);
-            } else {
-                for &q in &self.clauses[r as usize].lits {
-                    if self.level[q.var() as usize] > 0 {
-                        seen[q.var() as usize] = true;
-                    }
-                }
-            }
-            seen[v] = false;
-        }
-        core
-    }
-
-    /// UNSAT core of the most recent assumption query that returned
-    /// `Unsat`: a subset of the assumption literals whose conjunction the
-    /// clause set refutes. Empty if the clause set alone is unsatisfiable.
-    pub fn last_core(&self) -> &[Lit] {
-        &self.core
     }
 
     fn save_model(&mut self) {
@@ -882,8 +825,6 @@ mod tests {
         let a = Lit::neg(0);
         let b = Lit::neg(1);
         assert_eq!(s.solve_under_assumptions(&[a, b]), SatOutcome::Unsat);
-        let core = s.last_core().to_vec();
-        assert!(!core.is_empty() && core.iter().all(|l| *l == a || *l == b));
         assert_eq!(s.solve(), SatOutcome::Sat);
         assert_eq!(s.solve_under_assumptions(&[a]), SatOutcome::Sat);
         assert!(s.model_value(1), "x2 must carry (x1|x2) under !x1");
@@ -891,39 +832,14 @@ mod tests {
     }
 
     #[test]
-    fn final_conflict_core_is_minimal_relevant_subset() {
-        // Chain x1 -> x2 -> x3; assuming [x1, !x3, x5] fails, and the core
-        // must involve only the chain assumptions, never the free x5.
-        let mut s = SatSolver::new();
-        let c = lits(&[-1, 2], &mut s);
-        s.add_clause(&c);
-        let c = lits(&[-2, 3], &mut s);
-        s.add_clause(&c);
-        while s.num_vars() < 5 {
-            s.new_var();
-        }
-        let assumptions = [Lit::pos(0), Lit::neg(2), Lit::pos(4)];
-        assert_eq!(s.solve_under_assumptions(&assumptions), SatOutcome::Unsat);
-        let core = s.last_core();
-        assert!(core.contains(&Lit::pos(0)) || core.contains(&Lit::neg(2)));
-        assert!(
-            !core.contains(&Lit::pos(4)),
-            "irrelevant assumption leaked into the core"
-        );
-        for l in core {
-            assert!(assumptions.contains(l), "core must be over the assumptions");
-        }
-    }
-
-    #[test]
-    fn unsat_clause_set_yields_empty_core() {
+    fn unsat_clause_set_is_unsat_under_any_assumptions() {
         let mut s = SatSolver::new();
         let c1 = lits(&[1], &mut s);
         let c2 = lits(&[-1], &mut s);
         s.add_clause(&c1);
         s.add_clause(&c2);
         assert_eq!(s.solve_under_assumptions(&[Lit::pos(0)]), SatOutcome::Unsat);
-        assert!(s.last_core().is_empty(), "formula-level Unsat has no core");
+        assert_eq!(s.solve_under_assumptions(&[Lit::neg(0)]), SatOutcome::Unsat);
     }
 
     #[test]
@@ -953,8 +869,6 @@ mod tests {
         }
         assert_eq!(s.solve_under_assumptions(&acts), SatOutcome::Unsat);
         let learned_after_first = s.num_learned();
-        // The core names the activation subset that clashed.
-        assert!(s.last_core().iter().all(|l| acts.contains(l)));
         // Any two pigeons fit: every 2-subset of activations is Sat.
         for drop in 0..3 {
             let subset: Vec<Lit> = (0..3).filter(|&k| k != drop).map(|k| acts[k]).collect();

@@ -170,7 +170,9 @@ pub struct SolverStats {
     pub assumption_probes: u64,
     /// Probes answered Unsat (published without a fresh solve).
     pub probe_unsat: u64,
-    /// Probes refuted by a recorded UNSAT core with no search at all.
+    /// Always 0: probes once refuted queries against recorded UNSAT
+    /// cores, a mechanism since removed. Kept so stats consumers and
+    /// `report --json` keep parsing.
     pub core_prunes: u64,
     /// Learned clauses retained in the incremental context across
     /// queries (point-in-time; summed over per-worker contexts on merge).
@@ -188,9 +190,8 @@ pub struct SolverStats {
     /// bound (whole shared cache when one is attached; gauge, max wins
     /// on merge).
     pub cache_evictions: u64,
-    /// Incremental-context entries (encoded assertions, recorded UNSAT
-    /// cores) dropped by the context's size bounds (point-in-time per
-    /// worker context; summed on merge).
+    /// Incremental-context encoded assertions dropped by the context's
+    /// size bound (point-in-time per worker context; summed on merge).
     pub context_evictions: u64,
 }
 
@@ -462,8 +463,7 @@ impl Solver {
     /// The context amortizes bit-blasting and CDCL search across the
     /// closely-related queries of one test: assertions encode once behind
     /// activation literals, learned clauses and variable activities
-    /// survive between queries, and recorded UNSAT cores refute whole
-    /// families of later queries without search. Attach one context per
+    /// survive between queries. Attach one context per
     /// (test, worker) — its value comes from queries sharing structure.
     pub fn enable_incremental(&mut self) {
         if self.incremental.is_none() {
@@ -515,8 +515,8 @@ impl Solver {
         // (hard Unsat, or Sat — which must re-solve fresh for a canonical
         // model anyway) aborts as Unknown and falls through, bounding the
         // overhead per query. Cheap refutations — unit propagation over
-        // retained learned clauses, recorded-core subsumption — are the
-        // payoff and fit well under the cap.
+        // retained learned clauses — are the payoff and fit well under the
+        // cap.
         const PROBE_CONFLICT_CAP: u64 = 512;
         let inc = self.incremental.as_mut()?;
         let mut probe_budget = self.budget;
@@ -537,7 +537,6 @@ impl Solver {
         self.stats.search_ns += se1 - se0;
         self.stats.assumption_probes = inc.probes();
         self.stats.probe_unsat = inc.probe_unsat();
-        self.stats.core_prunes = inc.core_prunes();
         self.stats.learned_retained = inc.learned_retained();
         self.stats.cnf_cache_hits = inc.cnf_cache_hits();
         self.stats.context_evictions = inc.evictions();
@@ -579,7 +578,7 @@ impl Solver {
         // never competes with the (much cheaper) rewriting phase. It runs
         // on the *original* canonical conjuncts, not the residual: the
         // activation literals must align with the group conditions shared
-        // across the test's pair matrix for UNSAT-core family pruning.
+        // across the test's pair matrix, so each encodes once.
         if let Some(refuted) = self.probe_incremental(assertions) {
             return refuted;
         }

@@ -1,11 +1,10 @@
 //! Property tests for the incremental solver core.
 //!
-//! The incremental context is a pure speed lever: assumption probes,
-//! the persistent CNF, and UNSAT-core pruning must never change a
-//! verdict a fresh solver would reach. These tests drive randomized
-//! (but seeded, so reproducible) query sequences drawn from a shared
-//! conjunct pool — the access pattern that actually exercises CNF
-//! reuse and core subsumption — and compare every answer against a
+//! The incremental context is a pure speed lever: assumption probes and
+//! the persistent CNF must never change a verdict a fresh solver would
+//! reach. These tests drive randomized (but seeded, so reproducible)
+//! query sequences drawn from a shared conjunct pool — the access
+//! pattern that actually exercises CNF reuse — and compare every answer against a
 //! throwaway [`Solver`] solving the same query from scratch.
 
 use soft_smt::sat::SatOutcome;
@@ -169,46 +168,6 @@ fn solver_with_incremental_context_is_observationally_identical() {
             );
         }
     }
-}
-
-/// UNSAT-core pruning answers later queries without search, and those
-/// pruned answers are still correct. Queries are built as supersets of a
-/// known-contradictory pair, so every one is Unsat; after the first
-/// core is recorded, subsumption must start firing.
-#[test]
-fn core_pruned_answers_match_fresh_solver() {
-    let x = Term::var("inc.core", W);
-    let contra = [
-        x.clone().eq(Term::bv_const(W, 3)),
-        x.clone().eq(Term::bv_const(W, 7)),
-    ];
-    let mut rng = Rng::new(0xC04E);
-    let mut inc = IncrementalSolver::new();
-    let budget = SolverBudget::unlimited();
-    for q in 0..20 {
-        // Superset of the contradiction, padded with random conjuncts.
-        let mut key = contra.to_vec();
-        for _ in 0..rng.below(3) {
-            key.push(bool_term(&mut rng, 2));
-        }
-        assert_eq!(
-            inc.probe(&key, &budget),
-            SatOutcome::Unsat,
-            "query {q}: superset of a contradiction must stay Unsat"
-        );
-        assert!(
-            Solver::new().check(&key).is_unsat(),
-            "query {q}: oracle disagrees that the superset is Unsat"
-        );
-    }
-    assert!(
-        inc.core_prunes() > 0,
-        "20 supersets of one contradiction must hit the recorded core at least once \
-         (got {} prunes over {} probes)",
-        inc.core_prunes(),
-        inc.probes()
-    );
-    assert_eq!(inc.probe_unsat(), inc.probes(), "every probe was Unsat");
 }
 
 /// The persistent CNF is actually reused: a probe whose key embeds an

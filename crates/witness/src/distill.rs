@@ -147,22 +147,13 @@ fn evaluate(
 /// One witness through stages 1–4 (model completion, wire validation,
 /// replay confirmation, minimization), before clustering. `outcome` is
 /// the replayed output pair for confirmed witnesses, or the refusal
-/// reason. A draft is a pure function of its inputs, so the streaming
-/// session computes drafts eagerly as Sat verdicts arrive and hands them
-/// to [`assemble`] later — byte-identical to batch [`distill`].
-pub struct WitnessDraft {
+/// reason.
+struct WitnessDraft {
     inputs: Vec<ConcreteInput>,
     outcome: Result<(ObservedOutput, ObservedOutput), String>,
     replays: usize,
     free_bytes: usize,
     residual: usize,
-}
-
-impl WitnessDraft {
-    /// The witness survived every confirmation stage.
-    pub fn is_confirmed(&self) -> bool {
-        self.outcome.is_ok()
-    }
 }
 
 /// A draft tagged with where it came from (assembly stage only).
@@ -191,15 +182,14 @@ fn unconfirmed(
 /// Stages 1–4 for one inconsistency: complete the stored model, validate
 /// the wire format, confirm divergence by concrete replay on both agents,
 /// and minimize. Deterministic — independent of when or where it runs.
-pub fn draft_witness(
+fn draft_witness(
     test: &TestCase,
     inc: &Inconsistency,
     grouped_a: &GroupedResults,
     grouped_b: &GroupedResults,
-    a: impl Into<AgentRef>,
-    b: impl Into<AgentRef>,
+    a: AgentRef,
+    b: AgentRef,
 ) -> WitnessDraft {
-    let (a, b) = (a.into(), b.into());
     let free = free_positions(test);
     let mut replays = 0;
 
@@ -354,51 +344,12 @@ pub fn distill(
     b: impl Into<AgentRef>,
     cfg: &DistillConfig,
 ) -> DistillReport {
-    let none = (0..result.inconsistencies.len()).map(|_| None).collect();
-    assemble(test, result, none, grouped_a, grouped_b, a, b, cfg)
-}
-
-/// Stages 5–6 plus corpus assembly over a mix of precomputed and missing
-/// drafts. `drafts[k]`, when present, must be the output of
-/// [`draft_witness`] for `result.inconsistencies[k]` — the streaming
-/// session supplies drafts it computed eagerly while verdicts arrived;
-/// `None` slots are drafted here (in parallel over `cfg.jobs`). The
-/// result is byte-identical however the drafts are split between the two
-/// sources.
-#[allow(clippy::too_many_arguments)]
-pub fn assemble(
-    test: &TestCase,
-    result: &CrosscheckResult,
-    drafts: Vec<Option<WitnessDraft>>,
-    grouped_a: &GroupedResults,
-    grouped_b: &GroupedResults,
-    a: impl Into<AgentRef>,
-    b: impl Into<AgentRef>,
-    cfg: &DistillConfig,
-) -> DistillReport {
     let (a, b) = (a.into(), b.into());
-    assert_eq!(
-        drafts.len(),
-        result.inconsistencies.len(),
-        "one draft slot per inconsistency"
-    );
-    // Stages 1–4 for the missing slots, parallel per witness.
-    let missing: Vec<usize> = (0..drafts.len()).filter(|&k| drafts[k].is_none()).collect();
-    let fresh: Vec<WitnessDraft> = par_map(cfg.jobs, &missing, |_, &k| {
-        draft_witness(test, &result.inconsistencies[k], grouped_a, grouped_b, a, b)
+    // Stages 1–4, parallel per witness.
+    let drafts: Vec<Draft> = par_map(cfg.jobs, &result.inconsistencies, |k, inc| Draft {
+        origin: Origin::Distilled { inconsistency: k },
+        inner: draft_witness(test, inc, grouped_a, grouped_b, a, b),
     });
-    let mut slots = drafts;
-    for (k, d) in missing.into_iter().zip(fresh) {
-        slots[k] = Some(d);
-    }
-    let drafts: Vec<Draft> = slots
-        .into_iter()
-        .enumerate()
-        .map(|(k, d)| Draft {
-            origin: Origin::Distilled { inconsistency: k },
-            inner: d.expect("every slot filled above"),
-        })
-        .collect();
 
     // Stage 6, parallel per confirmed parent. The fuzzer mutates the
     // *minimized* witness: its neighborhood is the irreducible core, so

@@ -44,8 +44,7 @@ pub use corpus::{
     DEFAULT_PROTOCOL,
 };
 pub use distill::{
-    assemble, distill, draft_witness, reproduce_corpus, DistillConfig, DistillReport, DistillStats,
-    WitnessDraft, DEFAULT_SEED,
+    distill, reproduce_corpus, DistillConfig, DistillReport, DistillStats, DEFAULT_SEED,
 };
 pub use minimize::{free_positions, minimize, residual_bytes, Minimized};
 pub use rng::{stream_seed, SplitMix64};

@@ -5,10 +5,7 @@
 use soft_agents::AgentKind;
 use soft_core::Soft;
 use soft_harness::suite;
-use soft_witness::{
-    assemble, distill, draft_witness, reproduce_corpus, DistillConfig, DistillReport, Status,
-    WitnessDraft,
-};
+use soft_witness::{distill, reproduce_corpus, DistillConfig, DistillReport, Status};
 
 fn queue_config_report(cfg: &DistillConfig) -> DistillReport {
     let soft = Soft::new();
@@ -58,60 +55,6 @@ fn corpus_is_jobs_invariant() {
         "corpus must be byte-identical for any --jobs"
     );
     assert_eq!(base.stats, par.stats);
-}
-
-#[test]
-fn precomputed_drafts_assemble_identically() {
-    // The streaming session drafts witnesses eagerly (out of band) and
-    // hands them to assemble; the corpus must be byte-identical to the
-    // batch pipeline no matter which slots were precomputed.
-    let soft = Soft::new();
-    let test = suite::queue_config();
-    let pair = soft
-        .run_pair(AgentKind::Reference, AgentKind::OpenVSwitch, &test)
-        .expect("pipeline");
-    let cfg = DistillConfig::default();
-    let batch = distill(
-        &test,
-        &pair.result,
-        &pair.grouped_a,
-        &pair.grouped_b,
-        AgentKind::Reference,
-        AgentKind::OpenVSwitch,
-        &cfg,
-    );
-    assert!(!pair.result.inconsistencies.is_empty(), "need a slot");
-    // Precompute every other draft; leave the rest to assemble.
-    let slots: Vec<Option<WitnessDraft>> = pair
-        .result
-        .inconsistencies
-        .iter()
-        .enumerate()
-        .map(|(k, inc)| {
-            (k % 2 == 0).then(|| {
-                draft_witness(
-                    &test,
-                    inc,
-                    &pair.grouped_a,
-                    &pair.grouped_b,
-                    AgentKind::Reference,
-                    AgentKind::OpenVSwitch,
-                )
-            })
-        })
-        .collect();
-    let mixed = assemble(
-        &test,
-        &pair.result,
-        slots,
-        &pair.grouped_a,
-        &pair.grouped_b,
-        AgentKind::Reference,
-        AgentKind::OpenVSwitch,
-        &cfg,
-    );
-    assert_eq!(batch.corpus.to_json_string(), mixed.corpus.to_json_string());
-    assert_eq!(batch.stats, mixed.stats);
 }
 
 #[test]

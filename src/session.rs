@@ -9,19 +9,17 @@
 //! - the two phase-1 artifacts are published, parsed back and grouped,
 //!   so grouping sees exactly the input the phased `check` consumes;
 //! - the canonical crosscheck pass solves every group pair;
-//! - witness distillation drafts begin per Sat verdict via
-//!   [`VerdictSink::on_decided`], overlapping the rest of the pass, and
-//!   the final corpus is assembled from the drafts once it completes.
+//! - witness distillation runs over the complete crosscheck result,
+//!   exactly as the phased `distill` command does.
 //!
-//! As in the paper (§2.4, §3), grouping and crosschecking start only
-//! once each output's condition is complete; DESIGN.md ("Streaming
-//! pipeline") gives the measurements behind that choice.
+//! As in the paper (§2.4, §3), each phase starts only once the previous
+//! one's output is complete; DESIGN.md ("Streaming pipeline") gives the
+//! measurements behind that choice.
 //!
 //! **Determinism invariant**: for the same seed and inputs the session
 //! publishes byte-identical artifacts (modulo recorded wall-clock) to
-//! the phased flow, at any `--jobs`. Drafts are pure functions of the
-//! canonical verdicts, and all published verdicts are merged in
-//! canonical pair order.
+//! the phased flow, at any `--jobs`. All published verdicts are merged
+//! in canonical pair order.
 //!
 //! One [`SessionJournal`] write-ahead log covers the whole session —
 //! path, verdict, and corpus records interleaved — so `--resume`
@@ -30,8 +28,7 @@
 //! seed the crosscheck, and only the genuinely unfinished work re-runs.
 
 use soft_core::{
-    condition_diff, crosscheck_hooked, CheckHooks, CheckSeeds, CrosscheckConfig, GroupedResults,
-    Inconsistency, Soft, VerdictSink,
+    condition_diff, crosscheck_hooked, CheckHooks, CheckSeeds, CrosscheckConfig, Soft,
 };
 use soft_harness::journal::{
     atomic_write, run_unit_durable, session_fingerprint, SessionJournal, SessionRecovery,
@@ -42,7 +39,7 @@ use soft_harness::{run_test, TestCase, TestRun, TestRunFile};
 use soft_protocol::AgentRef;
 use soft_smt::{SatResult, SolverBudget};
 use soft_sym::ExplorerConfig;
-use soft_witness::{assemble, draft_witness, DistillConfig, WitnessDraft};
+use soft_witness::{distill, DistillConfig};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
@@ -237,66 +234,6 @@ pub fn run_session(cfg: &SessionConfig) -> Result<SessionReport, String> {
     Ok(SessionReport { outcomes })
 }
 
-type DraftMap = Mutex<HashMap<(usize, usize), WitnessDraft>>;
-
-/// The session's [`VerdictSink`]: journals every canonical verdict, and
-/// starts distilling a witness the moment a pair is freshly decided Sat
-/// — from whichever crosscheck worker solved it. Drafting is a pure
-/// function of the canonical verdict, so scheduling order cannot leak
-/// into the corpus; [`assemble`] slots the drafts back in canonical
-/// inconsistency order.
-struct EagerSink<'a> {
-    journal: Option<&'a SessionJournal>,
-    t: usize,
-    test: &'a TestCase,
-    grouped_a: &'a GroupedResults,
-    grouped_b: &'a GroupedResults,
-    agent_a: AgentRef,
-    agent_b: AgentRef,
-    drafts: &'a DraftMap,
-    /// Every canonically delivered verdict, collected for the session
-    /// report (the serve store persists them). Seeded pairs are not
-    /// re-delivered here; `run_one_test` merges them back in.
-    collected: &'a Mutex<Vec<VerdictRec>>,
-}
-
-impl VerdictSink for EagerSink<'_> {
-    fn on_verdict(&self, i: usize, j: usize, verdict: &SatResult, budget: &SolverBudget) {
-        if let Some(journal) = self.journal {
-            journal.record_verdict(self.t, i, j, verdict, budget);
-        }
-        recover(self.collected).push(VerdictRec {
-            i,
-            j,
-            verdict: verdict.clone(),
-            budget: *budget,
-        });
-    }
-
-    fn on_decided(&self, i: usize, j: usize, verdict: &SatResult, _budget: &SolverBudget) {
-        let SatResult::Sat(model) = verdict else {
-            return;
-        };
-        let inc = Inconsistency {
-            test: self.grouped_a.test.clone(),
-            agent_a: self.grouped_a.agent.clone(),
-            agent_b: self.grouped_b.agent.clone(),
-            output_a: self.grouped_a.groups[i].output.clone(),
-            output_b: self.grouped_b.groups[j].output.clone(),
-            witness: model.as_ref().clone(),
-        };
-        let draft = draft_witness(
-            self.test,
-            &inc,
-            self.grouped_a,
-            self.grouped_b,
-            self.agent_a,
-            self.agent_b,
-        );
-        recover(self.drafts).insert((i, j), draft);
-    }
-}
-
 fn summary_u64(summary: &Json, key: &str) -> usize {
     summary.field(key).and_then(Json::as_u64).unwrap_or(0) as usize
 }
@@ -409,8 +346,7 @@ fn run_one_test(
         .map_err(|e| format!("{path_b}: {e}"))?;
 
     // --- Stage 3: the canonical crosscheck pass. Journal-recovered
-    // verdicts seed it, and fresh Sat verdicts start distillation drafts
-    // immediately.
+    // verdicts seed it.
     let mut seeds = CheckSeeds::new();
     for v in &recovery.verdicts[t] {
         seeds.insert(v.i, v.j, v.verdict.clone(), v.budget);
@@ -461,18 +397,20 @@ fn run_one_test(
             }
         }
     }
-    let drafts: DraftMap = Mutex::new(HashMap::new());
+    // The sink journals every canonically delivered verdict and collects
+    // it for the session report (the serve store persists them). Seeded
+    // pairs are not re-delivered; the matrix below merges them back in.
     let collected: Mutex<Vec<VerdictRec>> = Mutex::new(Vec::new());
-    let sink = EagerSink {
-        journal,
-        t,
-        test,
-        grouped_a: &grouped_a,
-        grouped_b: &grouped_b,
-        agent_a: cfg.agent_a,
-        agent_b: cfg.agent_b,
-        drafts: &drafts,
-        collected: &collected,
+    let sink = |i: usize, j: usize, verdict: &SatResult, budget: &SolverBudget| {
+        if let Some(journal) = journal {
+            journal.record_verdict(t, i, j, verdict, budget);
+        }
+        recover(&collected).push(VerdictRec {
+            i,
+            j,
+            verdict: verdict.clone(),
+            budget: *budget,
+        });
     };
     let hooks = CheckHooks {
         seeds: Some(&seeds),
@@ -485,36 +423,16 @@ fn run_one_test(
         }
     }
 
-    // --- Stage 4: assemble the corpus from the eager drafts. Seeded Sat
-    // pairs never fired `on_decided`, so their slots are drafted inside
-    // `assemble`; each inconsistency maps to its draft through the
-    // (output_a, output_b) pair, unique per side by construction.
-    let mut eager = recover(&drafts);
-    let slots: Vec<Option<WitnessDraft>> = result
-        .inconsistencies
-        .iter()
-        .map(|inc| {
-            let i = grouped_a
-                .groups
-                .iter()
-                .position(|g| g.output == inc.output_a)?;
-            let j = grouped_b
-                .groups
-                .iter()
-                .position(|g| g.output == inc.output_b)?;
-            eager.remove(&(i, j))
-        })
-        .collect();
-    drop(eager);
+    // --- Stage 4: distill the complete crosscheck result, as `soft
+    // distill` does.
     let distill_cfg = DistillConfig {
         jobs: cfg.jobs.max(1),
         seed: cfg.seed,
         fuzz_tries: cfg.fuzz_tries,
     };
-    let report = assemble(
+    let report = distill(
         test,
         &result,
-        slots,
         &grouped_a,
         &grouped_b,
         cfg.agent_a,
