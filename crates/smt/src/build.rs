@@ -266,9 +266,11 @@ impl Term {
             }
         }
         // Canonical operand order for commutative ops (const to the right).
+        // Structural, not interning-id, order: ids depend on construction
+        // order, which differs between a fresh and a resumed run.
         let (a, b) = match op {
             BvBinOp::And | BvBinOp::Or | BvBinOp::Xor | BvBinOp::Add | BvBinOp::Mul => {
-                if a.is_const() || (a > b && !b.is_const()) {
+                if a.is_const() || (!b.is_const() && a.structural_cmp(&b).is_gt()) {
                     (b, a)
                 } else {
                     (a, b)
@@ -517,7 +519,10 @@ impl Term {
         // Canonicalize Eq operand order *before* rule matching so rewrites
         // that pattern-match on (expr, const) fire regardless of how the
         // caller oriented the equality (parsing rebuilds in printed order).
-        let (a, b) = if op == CmpOp::Eq && (a.is_const() || (a > b && !b.is_const())) {
+        // Structural order, as for commutative bitvector operators.
+        let (a, b) = if op == CmpOp::Eq
+            && (a.is_const() || (!b.is_const() && a.structural_cmp(&b).is_gt()))
+        {
             (b, a)
         } else {
             (a, b)
@@ -625,6 +630,40 @@ impl Term {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Two fresh variables interned in the order `(first, second)` whose
+    /// structural order is the reverse of that interning order.
+    fn interned_against_structure(tag: &str) -> (Term, Term) {
+        for k in 0.. {
+            let first = Term::var(format!("orient.{tag}{k}.a"), 8);
+            let second = Term::var(format!("orient.{tag}{k}.b"), 8);
+            if second.structural_cmp(&first).is_lt() {
+                return (first, second);
+            }
+        }
+        unreachable!()
+    }
+
+    #[test]
+    fn operand_order_is_structural_not_interning_order() {
+        // A resumed run interns terms in a different order than a fresh
+        // one; the operand order of `=` and commutative operators must not
+        // depend on it.
+        let (x, y) = interned_against_structure("eq");
+        for t in [x.clone().eq(y.clone()), y.clone().eq(x.clone())] {
+            let Op::Cmp(CmpOp::Eq, l, r) = t.op() else {
+                panic!("expected an equality, got {t}");
+            };
+            assert_eq!((l, r), (&y, &x), "`=` operands in interning order");
+        }
+        let (x, y) = interned_against_structure("add");
+        for t in [x.clone().bvadd(y.clone()), y.clone().bvadd(x.clone())] {
+            let Op::BvBin(BvBinOp::Add, l, r) = t.op() else {
+                panic!("expected an addition, got {t}");
+            };
+            assert_eq!((l, r), (&y, &x), "bvadd operands in interning order");
+        }
+    }
 
     #[test]
     fn constant_folding_arith() {
