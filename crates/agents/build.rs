@@ -5,9 +5,12 @@
 //! keeps every label — a flipped branch constant, a different emitted
 //! output — so the fingerprint also folds in a hash of the sources the
 //! model's semantics flow through: this crate plus the wire-format,
-//! data-plane, and symbolic-context crates it builds on. Any edit to
-//! those sources changes `SOFT_AGENTS_BUILD_FP`, so a restarted daemon
-//! re-solves instead of serving stale pre-change artifacts.
+//! data-plane, and symbolic-context crates it builds on, and the solver,
+//! kernel, and witness crates that shape the stored artifacts and
+//! corpora (a changed term orientation or model choice changes published
+//! bytes). Any edit to those sources changes `SOFT_AGENTS_BUILD_FP`, so a
+//! restarted daemon re-solves instead of serving stale pre-change
+//! artifacts.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -49,7 +52,8 @@ fn collect(dir: &Path, label: &str, out: &mut Vec<(String, PathBuf)>) {
 
 fn main() {
     let manifest = std::env::var("CARGO_MANIFEST_DIR").expect("CARGO_MANIFEST_DIR");
-    // The crates whose sources define agent behaviour. Paths are
+    // The crates whose sources define agent behaviour or shape stored
+    // artifacts. Paths are
     // relative to crates/agents; the labels are checkout-independent so
     // the fingerprint is stable across machines for identical sources.
     let roots = [
@@ -58,6 +62,9 @@ fn main() {
         ("openflow/src", "../openflow/src"),
         ("dataplane/src", "../dataplane/src"),
         ("sym/src", "../sym/src"),
+        ("smt/src", "../smt/src"),
+        ("core/src", "../core/src"),
+        ("witness/src", "../witness/src"),
     ];
     let mut files = Vec::new();
     for (label, rel) in roots {

@@ -223,7 +223,7 @@ pub struct CrosscheckResult {
     pub check_time: Duration,
     /// Merged per-worker solver statistics across every pass (base +
     /// escalation rungs), including the incremental-context counters
-    /// (assumption probes, UNSAT-core prunes, CNF cache hits).
+    /// (assumption probes, CNF cache hits).
     pub solver: SolverStats,
 }
 

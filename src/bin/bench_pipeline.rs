@@ -7,7 +7,7 @@
 //! session with the incremental solver core disabled (an in-process
 //! ablation baseline), and the full streaming session with per-test
 //! incremental solver contexts (assumption probes, CNF caching,
-//! UNSAT-core pruning). The benchmark also verifies all three flows
+//! retained learned clauses). The benchmark also verifies all three flows
 //! publish byte-identical artifacts (modulo recorded wall-clock), so no
 //! speedup is ever bought with drift.
 //!

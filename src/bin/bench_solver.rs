@@ -3,11 +3,11 @@
 //! For each test, explores both agents once (setup, untimed), then runs
 //! the pair-matrix crosscheck twice — with the per-worker incremental
 //! contexts disabled (every query a fresh solve) and enabled (assumption
-//! probes over a persistent CNF, UNSAT-core pruning) — and records the
-//! wall-clock plus the merged [`SolverStats`] of each mode: bit-blast vs
-//! CDCL-search time split, queries decided by simplification, assumption
-//! probes and their Unsat/core-prune hit rates, learned clauses
-//! retained, and CNF cache hits. The DAG-sharing ratio of the group
+//! probes over a persistent CNF with retained learned clauses) — and
+//! records the wall-clock plus the merged [`SolverStats`] of each mode:
+//! bit-blast vs CDCL-search time split, queries decided by
+//! simplification, assumption probes and their Unsat hit rate, learned
+//! clauses retained, and CNF cache hits. The DAG-sharing ratio of the group
 //! conditions (unique hash-consed nodes / total nodes) is reported per
 //! test as the structural headroom the incremental encoding exploits.
 //!
@@ -232,14 +232,13 @@ fn main() -> ExitCode {
         match bench_one(test, jobs, reps) {
             Ok(r) => {
                 eprintln!(
-                    "bench_solver: {}: fresh {:.0} ms, incremental {:.0} ms ({:.2}x), probes {} (unsat {}, core-pruned {})",
+                    "bench_solver: {}: fresh {:.0} ms, incremental {:.0} ms ({:.2}x), probes {} (unsat {})",
                     r.id,
                     r.fresh_ms,
                     r.incremental_ms,
                     r.fresh_ms / r.incremental_ms.max(0.001),
                     r.incremental.assumption_probes,
                     r.incremental.probe_unsat,
-                    r.incremental.core_prunes,
                 );
                 reports.push(r);
             }

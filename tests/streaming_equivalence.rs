@@ -3,9 +3,9 @@
 //! `soft run` must publish byte-identical artifacts to the phased
 //! `phase1 + check + distill` sequence — modulo the recorded wall-clock
 //! — for every seed, at any `--jobs`. The session explores both agents
-//! concurrently and drafts witnesses while the crosscheck is still
-//! solving, so this is the test that proves none of that scheduling
-//! freedom leaks into the published bytes.
+//! concurrently and solves pairs on parallel workers, so this is the
+//! test that proves none of that scheduling freedom leaks into the
+//! published bytes.
 
 use soft::core::{crosscheck, CrosscheckConfig};
 use soft::harness::{run_test, suite, TestCase, TestRunFile};
@@ -162,8 +162,8 @@ fn streaming_matches_phased_for_every_seed_and_jobs() {
 
 /// The benchmark's setting on the test with the most Sat pairs:
 /// `packet_out` (92 confirmed witnesses) at `--jobs 2`, journal on. Many
-/// pairs decide Sat concurrently here, each starting an eager witness
-/// draft, so this is where solve order could leak into the corpus.
+/// pairs decide Sat concurrently here, so this is where solve order
+/// could leak into the corpus.
 #[test]
 fn streaming_matches_phased_on_packet_out_at_jobs_2() {
     let seed = 0x50F7u64;
@@ -188,31 +188,39 @@ fn streaming_matches_phased_on_packet_out_at_jobs_2() {
 }
 
 /// The incremental-solver equivalence gate: the persistent per-test
-/// contexts (assumption probes, CNF caching, UNSAT-core pruning) are a
-/// pure speed lever — with them on or off the session publishes
+/// contexts (assumption probes, CNF caching, retained learned clauses)
+/// are a pure speed lever — with them on or off the session publishes
 /// byte-identical artifacts and corpora at any `--jobs`. Probes publish
 /// only Unsat verdicts, which are value-deterministic, so nothing
-/// history-dependent can leak into the bytes.
+/// history-dependent can leak into the bytes. `queue_config` makes 2
+/// probes; `packet_out` makes about 1,000.
 #[test]
 fn incremental_on_and_off_publish_identical_bytes() {
     let seed = 0x50F7u64;
-    for jobs in [1usize, 8] {
-        let (off_a, off_b, off_corpus) = streaming(&format!("inc_off_j{jobs}"), seed, jobs, false);
-        let (on_a, on_b, on_corpus) = streaming(&format!("inc_on_j{jobs}"), seed, jobs, true);
-        assert_eq!(
-            normalize_wall(&on_a),
-            normalize_wall(&off_a),
-            "artifact A diverged with incremental solving (jobs {jobs})"
-        );
-        assert_eq!(
-            normalize_wall(&on_b),
-            normalize_wall(&off_b),
-            "artifact B diverged with incremental solving (jobs {jobs})"
-        );
-        assert_eq!(
-            on_corpus, off_corpus,
-            "corpus diverged with incremental solving (jobs {jobs})"
-        );
+    for test in [suite::queue_config(), suite::packet_out()] {
+        let id = test.id;
+        for jobs in [1usize, 8] {
+            let run = |incremental: bool| {
+                let tag = format!("inc_{id}_{incremental}_j{jobs}");
+                session(&tag, test.clone(), seed, jobs, incremental, false)
+            };
+            let (off_a, off_b, off_corpus) = run(false);
+            let (on_a, on_b, on_corpus) = run(true);
+            assert_eq!(
+                normalize_wall(&on_a),
+                normalize_wall(&off_a),
+                "{id}: artifact A diverged with incremental solving (jobs {jobs})"
+            );
+            assert_eq!(
+                normalize_wall(&on_b),
+                normalize_wall(&off_b),
+                "{id}: artifact B diverged with incremental solving (jobs {jobs})"
+            );
+            assert_eq!(
+                on_corpus, off_corpus,
+                "{id}: corpus diverged with incremental solving (jobs {jobs})"
+            );
+        }
     }
 }
 

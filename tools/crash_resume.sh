@@ -37,7 +37,8 @@ norm() {
 
 # run_until_done <timeout-ms-start> <log> <cmd...>
 # First round runs the command as given; every retry appends --resume.
-# Returns the final (non-KILL) exit code.
+# Returns the final (non-KILL) exit code and leaves the number of rounds
+# that were killed in INTERRUPTIONS.
 run_until_done() {
     local t_ms=$1 log=$2 rc=137 round=0
     shift 2
@@ -54,7 +55,8 @@ run_until_done() {
         round=$((round + 1))
         t_ms=$((t_ms * 3 / 2 + 20))
     done
-    echo "    $((round - 1)) interruption(s) before completion" >&2
+    INTERRUPTIONS=$((round - 1))
+    echo "    $INTERRUPTIONS interruption(s) before completion" >&2
     return "$rc"
 }
 
@@ -137,10 +139,16 @@ run_ref_rc=$?
 echo "== run under SIGKILL =="
 # One session journal covers the whole pipeline, so the kills land in
 # every stage — exploration, crosscheck, distillation — across rounds.
-run_until_done 300 "$WORK/run_kill.out" \
+# The ladder starts well below the length of a whole session (a few
+# hundred ms), so at least one kill must land and resume must run.
+run_until_done 40 "$WORK/run_kill.out" \
     "$SOFT" run --agents reference,ovs --test "$CHECK_TEST" \
     --out "$WORK/run_kill_" --jobs "$JOBS_N" --no-fsync
 rc=$?
+if [ "$INTERRUPTIONS" -lt 1 ]; then
+    echo "crash_resume: run finished before the first kill; resume was never exercised"
+    fail=1
+fi
 if [ "$rc" -ne "$run_ref_rc" ]; then
     echo "crash_resume: run exit code diverged: reference $run_ref_rc, resumed $rc"
     fail=1
