@@ -463,8 +463,8 @@ impl Solver {
     /// The context amortizes bit-blasting and CDCL search across the
     /// closely-related queries of one test: assertions encode once behind
     /// activation literals, learned clauses and variable activities
-    /// survive between queries. Attach one context per
-    /// (test, worker) — its value comes from queries sharing structure.
+    /// survive between queries. Attach one context per (test, worker) —
+    /// its value comes from queries sharing structure.
     pub fn enable_incremental(&mut self) {
         if self.incremental.is_none() {
             self.incremental = Some(IncrementalSolver::new());

@@ -156,7 +156,7 @@ struct WitnessDraft {
     residual: usize,
 }
 
-/// A draft tagged with where it came from (assembly stage only).
+/// A draft tagged with where it came from.
 struct Draft {
     origin: Origin,
     inner: WitnessDraft,
@@ -358,11 +358,9 @@ pub fn distill(
     let parents: Vec<usize> = (0..drafts.len())
         .filter(|&i| drafts[i].inner.outcome.is_ok())
         .collect();
+    // `drafts[p]` is inconsistency `p`'s draft.
     let fuzz_results: Vec<Vec<Draft>> = par_map(cfg.jobs, &parents, |_, &p| {
-        let Origin::Distilled { inconsistency } = drafts[p].origin else {
-            unreachable!("parents are distilled drafts");
-        };
-        fuzz_one(inconsistency, &drafts[p].inner.inputs, &free, a, b, cfg)
+        fuzz_one(p, &drafts[p].inner.inputs, &free, a, b, cfg)
     });
 
     // Stage 5 + assembly, sequential and order-deterministic: distilled
